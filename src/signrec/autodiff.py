@@ -1,8 +1,9 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 Just enough ops for this model family: dense/sparse matrix products,
-elementwise arithmetic with broadcasting, the activations we use, row
-gathering with scatter-add backward, concatenation, and reductions.
+LightGCN layer aggregation as one fused op, elementwise arithmetic with
+broadcasting, the activations we use, row gathering with scatter-add
+backward, concatenation, reductions, and the L2 penalty.
 Values are kept in float64 so analytic gradients can be validated against
 central finite differences.
 """
@@ -23,11 +24,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward", "name")
+    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward", "name",
+                 "_owns_grad")
 
     def __init__(self, value, requires_grad=False, parents=(), backward=None, name=None):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
+        self._owns_grad = False
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self._parents = parents
         self._backward = backward
@@ -38,8 +41,16 @@ class Tensor:
         return self.value.shape
 
     def _accumulate(self, grad):
+        # The first gradient is kept without a copy. It may be shared (add and
+        # sub hand one array to both parents), so a second write copies it
+        # before adding in place.
         if self.grad is None:
-            self.grad = np.zeros_like(self.value)
+            self.grad = grad
+            self._owns_grad = False
+            return
+        if not self._owns_grad:
+            self.grad = self.grad.copy()
+            self._owns_grad = True
         self.grad += grad
 
     def backward(self):
@@ -168,6 +179,31 @@ def spmm(matrix: sp.spmatrix, x: Tensor) -> Tensor:
     return out
 
 
+def spmm_power_mean(matrix: sp.spmatrix, x: Tensor, layers: int) -> Tensor:
+    """Mean of ``matrix^k @ x`` over k = 0..layers, as one tape node.
+
+    This is LightGCN's layer aggregation. The gradient is the mean of
+    ``(matrix^T)^k @ grad``; ``matrix`` must be symmetric, so the backward
+    applies ``matrix`` itself layer by layer.
+    """
+    def power_mean(h):
+        acc = h.copy()
+        for _ in range(layers):
+            h = matrix @ h
+            acc += h
+        acc *= 1.0 / (layers + 1)
+        return acc
+
+    out = Tensor(power_mean(x.value), parents=(x,))
+
+    def backward(grad):
+        if x.requires_grad:
+            x._accumulate(power_mean(grad))
+
+    out._backward = backward
+    return out
+
+
 def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.value, 0.0), parents=(a,))
 
@@ -231,15 +267,30 @@ def softplus(a: Tensor) -> Tensor:
     return out
 
 
-def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
+def gather_rows(a: Tensor, idx: np.ndarray, unique: bool = False) -> Tensor:
+    """Rows ``a[idx]``; pass ``unique=True`` when ``idx`` has no repeats.
+
+    The backward scatters each gradient row back to its source row. Repeated
+    rows are summed by a sparse (rows x len(idx)) product whose columns run
+    in ``idx`` order, so they add up in the same order as ``np.add.at``;
+    unique rows are simply assigned.
+    """
     idx = np.asarray(idx)
     out = Tensor(a.value[idx], parents=(a,))
 
     def backward(grad):
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.value)
-            np.add.at(a.grad, idx, grad)
+        if not a.requires_grad:
+            return
+        n = a.shape[0]
+        if unique:
+            full = np.zeros_like(a.value)
+            full[idx] = grad
+        else:
+            order = np.argsort(idx, kind="stable")
+            indptr = np.concatenate(([0], np.cumsum(np.bincount(idx, minlength=n))))
+            scatter = sp.csr_matrix((np.ones(len(idx)), order, indptr), shape=(n, len(idx)))
+            full = scatter @ grad
+        a._accumulate(full)
 
     out._backward = backward
     return out
@@ -274,14 +325,6 @@ def concat(tensors: list, axis: int = 1) -> Tensor:
     return out
 
 
-def mean_of(tensors: list) -> Tensor:
-    """Elementwise mean of same-shape tensors (layer aggregation)."""
-    acc = tensors[0]
-    for t in tensors[1:]:
-        acc = add(acc, t)
-    return mul(acc, 1.0 / len(tensors))
-
-
 def dropout(a: Tensor, p: float, rng: np.random.Generator, training: bool) -> Tensor:
     """Inverted dropout: scales kept units by 1/(1-p) at train time."""
     if not training or p <= 0.0:
@@ -290,10 +333,19 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator, training: bool) -> Te
     return mul(a, constant(mask))
 
 
-def sum_squares(tensors: list) -> Tensor:
-    """Sum of squared entries over a parameter list (L2 penalty body)."""
-    total = None
+def l2_penalty(tensors: list, lam: float) -> Tensor:
+    """``lam`` times the sum of squared entries over ``tensors``."""
+    total = 0.0
     for t in tensors:
-        term = reduce_sum(mul(t, t))
-        total = term if total is None else add(total, term)
-    return total
+        flat = t.value.reshape(-1)
+        total += flat @ flat
+    out = Tensor(lam * total, parents=tuple(tensors))
+
+    def backward(grad):
+        scale = 2.0 * lam * float(grad)
+        for t in tensors:
+            if t.requires_grad:
+                t._accumulate(scale * t.value)
+
+    out._backward = backward
+    return out

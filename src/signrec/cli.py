@@ -1,7 +1,8 @@
 """Command-line front end: split, train, evaluate, diagnose.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
-A flat key=value config file can seed any flag; explicit flags win.
+A flat key=value config file can seed the flags that configure a run (keys
+are the flag names); explicit flags win, and an unknown key is a usage error.
 """
 from __future__ import annotations
 
@@ -77,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["tsv", "movielens-dat"])
         p.add_argument("--w-o", type=float, dest="w_o")
         p.add_argument("--min-interactions", type=int)
-        p.add_argument("--folds", type=int, dest="k_folds")
+        p.add_argument("--folds", type=int)
         p.add_argument("--seed", type=int)
         p.add_argument("--threads", type=int)
         p.add_argument("--out")
@@ -92,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--backbone", choices=["lightgcn", "lrgccf", "ngcf"])
     p_train.add_argument("--variant", choices=["mlp-gn", "gnn-gn", "no-gn", "no-split"])
     p_train.add_argument("--loss", choices=["sign-aware-bpr", "standard-bpr"])
-    p_train.add_argument("--positive-only", action="store_true",
+    p_train.add_argument("--positive-only", action="store_true", default=None,
                          help="train on positive edges only (baseline mode)")
     p_train.add_argument("--layers", type=int, help="GNN layer count")
     p_train.add_argument("--dim", type=int)
@@ -108,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_eval)
     p_eval.add_argument("--run", action="append", required=True,
                         help="run directory (repeat to aggregate across folds)")
-    p_eval.add_argument("--k", type=int, action="append", dest="ks")
+    p_eval.add_argument("--k", type=int, action="append")
     p_eval.add_argument("--groups", action="store_true",
                         help="report per interaction-sparsity group")
 
@@ -118,34 +119,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Keys a --config file may set: the names of the flags it stands in for.
+CONFIG_KEYS = frozenset({
+    "dataset", "format", "w_o", "min_interactions", "folds", "seed", "threads", "out", "k",
+    "backbone", "variant", "loss", "positive_only", "layers", "dim", "n_neg", "c",
+    "lambda_reg", "lr", "batch_size", "epochs",
+})
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _int_list(raw: str) -> list:
+    return [int(v) for v in raw.split(",")]
+
+
 def _merge_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig()
     file_values = read_config_file(args.config) if getattr(args, "config", None) else {}
+    unknown = sorted(set(file_values) - CONFIG_KEYS)
+    if unknown:
+        raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
 
     def pick(name, cast, default):
         flag = getattr(args, name, None)
         if flag is not None:
             return flag
-        if name in file_values:
-            raw = file_values[name]
-            if cast is bool:
-                return raw.lower() in ("1", "true", "yes")
-            return cast(raw)
-        return default
+        if name not in file_values:
+            return default
+        raw = file_values[name]
+        try:
+            return _BOOLEANS[raw.lower()] if cast is bool else cast(raw)
+        except (KeyError, ValueError):
+            raise UsageError(f"config key {name}: bad value {raw!r}") from None
 
     cfg.dataset = pick("dataset", str, cfg.dataset)
     cfg.format = pick("format", str, cfg.format)
     cfg.w_o = pick("w_o", float, cfg.w_o)
     cfg.min_interactions = pick("min_interactions", int, cfg.min_interactions)
-    cfg.k_folds = pick("k_folds", int, cfg.k_folds)
+    cfg.k_folds = pick("folds", int, cfg.k_folds)
     cfg.seed = pick("seed", int, cfg.seed)
     cfg.threads = pick("threads", int, cfg.threads)
     cfg.out = pick("out", str, cfg.out)
-    ks = getattr(args, "ks", None)
-    if ks:
-        cfg.ks = tuple(sorted(ks))
-    elif "k" in file_values:
-        cfg.ks = tuple(sorted(int(v) for v in file_values["k"].split(",")))
+    cfg.ks = tuple(sorted(pick("k", _int_list, cfg.ks)))
 
     cfg.model = ModelConfig(
         backbone=pick("backbone", str, "lightgcn"),
@@ -190,8 +204,7 @@ def _manifest_dir(cfg: ExperimentConfig) -> str:
     return os.path.join(cfg.out, f"{stem}-folds-k{cfg.k_folds}-seed{cfg.seed}")
 
 
-def cmd_split(args) -> int:
-    cfg = _merge_config(args)
+def cmd_split(args, cfg: ExperimentConfig) -> int:
     records, _ = _load_dataset(cfg)
     folds = data_mod.kfold_split(records, cfg.k_folds, cfg.seed)
     directory = _manifest_dir(cfg)
@@ -208,8 +221,7 @@ def run_dir_name(cfg: ExperimentConfig, fold: int) -> str:
         f"{stem}-{cfg.model.backbone}-{cfg.model.variant}-{tag}-fold{fold}-seed{cfg.seed}")
 
 
-def cmd_train(args) -> int:
-    cfg = _merge_config(args)
+def cmd_train(args, cfg: ExperimentConfig) -> int:
     records, descriptor = _load_dataset(cfg)
     directory = _manifest_dir(cfg)
     if not os.path.isdir(directory):
@@ -248,8 +260,7 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(args) -> int:
-    cfg = _merge_config(args)
+def cmd_evaluate(args, cfg: ExperimentConfig) -> int:
     records, descriptor = _load_dataset(cfg)
     directory = _manifest_dir(cfg)
     folds = data_mod.read_fold_manifests(directory, cfg.k_folds)
@@ -300,20 +311,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
-        if args.command != "diagnose":
-            cfg_threads = getattr(args, "threads", None)
-            _set_threads(cfg_threads if cfg_threads else 1)
-        if args.command == "split":
-            cfg = _merge_config(args)
-            if cfg.k_folds < 2:
-                raise UsageError("--folds must be >= 2")
-            return cmd_split(args)
-        if args.command == "train":
-            return cmd_train(args)
-        if args.command == "evaluate":
-            return cmd_evaluate(args)
         if args.command == "diagnose":
             return cmd_diagnose(args)
+        cfg = _merge_config(args)
+        if cfg.threads < 1:
+            raise UsageError("--threads must be >= 1")
+        _set_threads(cfg.threads)
+        if args.command == "split":
+            if cfg.k_folds < 2:
+                raise UsageError("--folds must be >= 2")
+            return cmd_split(args, cfg)
+        if args.command == "train":
+            return cmd_train(args, cfg)
+        if args.command == "evaluate":
+            return cmd_evaluate(args, cfg)
         return EXIT_USAGE
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

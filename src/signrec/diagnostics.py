@@ -13,10 +13,9 @@ import numpy as np
 
 from .data import DatasetDescriptor, RatingRecord
 from .graph import build_signed_graph, partition
-from .model import AdjacencySet, ModelConfig, forward_tensors, init_state
+from .model import AdjacencySet, ModelConfig, init_state
 from .rng import substream
-from .train import TrainingTriples, sample_negatives, sign_aware_bpr_loss
-from . import train as train_mod
+from .train import TrainConfig, batch_loss, sample_negatives
 
 
 @dataclass
@@ -50,6 +49,8 @@ def gradient_max_relative_error(cfg: ModelConfig, seed: int = 7, h: float = 1e-4
                                 perturb_gradients: float = 0.0) -> float:
     """Max relative error of analytic vs central-difference gradients.
 
+    Differentiates the loss of one training step as ``train`` computes it
+    (``batch_loss``, restricted to the batch's rows), without dropout.
     ``perturb_gradients`` injects a deliberate analytic-gradient bug for
     exercising the failure path.
     """
@@ -58,14 +59,13 @@ def gradient_max_relative_error(cfg: ModelConfig, seed: int = 7, h: float = 1e-4
     adjs = AdjacencySet.build(parts, cfg)
     state = init_state(cfg, g.num_users, g.num_items, substream(seed, "init"))
     triples = sample_negatives(g, 2, substream(seed, "sampling"))
+    tcfg = TrainConfig(c=c, lambda_reg=lambda_reg)
 
-    def loss_value() -> float:
-        z, *_ = forward_tensors(adjs, state, cfg, training=False)
-        loss, _ = sign_aware_bpr_loss(z, g.num_users, triples, c, lambda_reg, state)
-        return float(loss.value)
+    def loss_tensor():
+        loss, _ = batch_loss(adjs, state, cfg, tcfg, g.num_users, triples)
+        return loss
 
-    z, *_ = forward_tensors(adjs, state, cfg, training=False)
-    loss, _ = sign_aware_bpr_loss(z, g.num_users, triples, c, lambda_reg, state)
+    loss = loss_tensor()
     state.zero_grad()
     loss.backward()
 
@@ -79,9 +79,9 @@ def gradient_max_relative_error(cfg: ModelConfig, seed: int = 7, h: float = 1e-4
         for k in range(flat.size):
             original = flat[k]
             flat[k] = original + h
-            up = loss_value()
+            up = float(loss_tensor().value)
             flat[k] = original - h
-            down = loss_value()
+            down = float(loss_tensor().value)
             flat[k] = original
             numeric[k] = (up - down) / (2 * h)
         denom = np.maximum(np.abs(numeric), np.abs(analytic.reshape(-1)))

@@ -137,13 +137,8 @@ def normalized_adjacency(p: PartitionedGraphs, variant: str,
         data = 1.0 / (norm[rows] * norm[cols])
 
     matrix = sp.csr_matrix((data, (rows, cols)), shape=(n_nodes, n_nodes))
+    if variant == "lightgcn":
+        # the fused propagation's backward uses the matrix as its own transpose
+        assert (matrix != matrix.T).nnz == 0, "lightgcn adjacency is not symmetric"
     return NormalizedAdjacency(variant, matrix, degrees)
 
-
-def dump_edges(p: PartitionedGraphs, path: str) -> None:
-    """Debug dump of both edge sets as TSV lines ``u  v  w``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for u, v, w in zip(*p.positive):
-            fh.write(f"{u}\t{v}\t{w}\n")
-        for u, v, w in zip(*p.negative):
-            fh.write(f"{u}\t{v}\t{w}\n")

@@ -126,12 +126,9 @@ def propagate(adj: NormalizedAdjacency, state: ModelState, cfg: ModelConfig,
     if adj.variant != cfg.backbone:
         raise ValueError(f"adjacency variant {adj.variant!r} != backbone {cfg.backbone!r}")
     h = state[f"{prefix}.h0"]
-    layers = [h]
     if cfg.backbone == "lightgcn":
-        for _ in range(cfg.gnn_layers):
-            h = ad.spmm(adj.matrix, h)
-            layers.append(h)
-        return ad.mean_of(layers)
+        return ad.spmm_power_mean(adj.matrix, h, cfg.gnn_layers)
+    layers = [h]
     if cfg.backbone == "lrgccf":
         for layer in range(cfg.gnn_layers):
             h = ad.matmul(ad.spmm(adj.matrix, h), state[f"{prefix}.w{layer}"])
@@ -149,8 +146,11 @@ def propagate(adj: NormalizedAdjacency, state: ModelState, cfg: ModelConfig,
 
 
 def mlp_forward(state: ModelState, cfg: ModelConfig, training: bool = False,
-                rng: np.random.Generator | None = None) -> Tensor:
+                rng: np.random.Generator | None = None, rows=None) -> Tensor:
+    """MLP over the negative path's embedding table, or over its ``rows``."""
     z = state["mlp.z0"]
+    if rows is not None:
+        z = ad.gather_rows(z, rows, unique=True)
     for layer in range(cfg.mlp_layers):
         z = ad.relu(ad.add(ad.matmul(z, state[f"mlp.w{layer}"]), state[f"mlp.b{layer}"]))
         if training and layer < cfg.mlp_layers - 1:
@@ -196,22 +196,29 @@ class AdjacencySet:
 
 
 def forward_tensors(adjs: AdjacencySet, state: ModelState, cfg: ModelConfig,
-                    training: bool = False, rng: np.random.Generator | None = None):
+                    training: bool = False, rng: np.random.Generator | None = None,
+                    rows=None):
     """Forward pass returning live tensors (for training graphs).
 
     Returns (Z, Z_p, Z_n, alpha_p, alpha_n); the last three are None for
-    variants that skip the negative path.
+    variants that skip the negative path. With ``rows``, an array of unique
+    node indices, propagation still runs over the whole graph, but the MLP,
+    dropout and attention run on those rows only, and every returned tensor
+    holds one row per entry of ``rows``.
     """
+    def restrict(z: Tensor) -> Tensor:
+        return z if rows is None else ad.gather_rows(z, rows, unique=True)
+
     if cfg.variant == "no-split":
-        z = propagate(adjs.full, state, cfg)
+        z = restrict(propagate(adjs.full, state, cfg))
         return z, z, None, None, None
-    z_p = propagate(adjs.positive, state, cfg)
+    z_p = restrict(propagate(adjs.positive, state, cfg))
     if cfg.variant == "no-gn":
         return z_p, z_p, None, None, None
     if cfg.variant == "gnn-gn":
-        z_n = propagate(adjs.negative, state, cfg, prefix="gnn_neg")
+        z_n = restrict(propagate(adjs.negative, state, cfg, prefix="gnn_neg"))
     else:
-        z_n = mlp_forward(state, cfg, training, rng)
+        z_n = mlp_forward(state, cfg, training, rng, rows)
     alpha_p, alpha_n, z = attention_fuse(z_p, z_n, state, cfg, training, rng)
     return z, z_p, z_n, alpha_p, alpha_n
 
@@ -226,13 +233,6 @@ def forward(adjs: AdjacencySet, state: ModelState, cfg: ModelConfig,
         alpha_n=None if alpha_n is None else alpha_n.value,
         Z=z.value,
     )
-
-
-def predict_preference(Z: np.ndarray, num_users: int, u: int, i: int) -> float:
-    """Predicted preference: inner product of user and item embeddings."""
-    if not (0 <= u < num_users) or not (0 <= i < Z.shape[0] - num_users):
-        raise IndexError("user or item index out of range")
-    return float(Z[u] @ Z[num_users + i])
 
 
 def save_checkpoint(path: str, state: ModelState, cfg: ModelConfig,

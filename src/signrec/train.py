@@ -4,7 +4,9 @@ epoch loop.
 Each epoch resamples unobserved items per observed edge from the
 degree-based noise distribution P(j) proportional to d_j^(3/4), shuffles the
 triples into mini-batches, and takes one Adam step per batch on the full
-loss (ranking term plus L2 penalty over every learnable parameter).
+loss (ranking term plus L2 penalty over every learnable parameter). A step
+propagates over the whole graph, then runs the MLP, attention and loss on
+the batch's rows only.
 """
 from __future__ import annotations
 
@@ -83,29 +85,31 @@ def sample_negatives(g: SignedBipartiteGraph, n_neg: int,
     users adjacent to every samplable item are skipped with a warning.
     """
     probs = noise_distribution(g)
-    samplable = set(np.flatnonzero(probs > 0).tolist())
-    neighbors = {}
-    for u, v in zip(g.users, g.items):
-        neighbors.setdefault(int(u), set()).add(int(v))
+    # Sorted, distinct (user, item) keys: membership tests are binary searches.
+    edge_keys = np.unique(g.users * g.num_items + g.items)
 
-    keep = np.ones(g.num_edges, dtype=bool)
-    for u, items in neighbors.items():
-        if not (samplable - items):
-            log.warning("user %d is adjacent to all samplable items; skipping its edges", u)
-            keep &= g.users != u
+    def is_edge(keys):
+        pos = np.minimum(np.searchsorted(edge_keys, keys), len(edge_keys) - 1)
+        return edge_keys[pos] == keys
+
+    # Every neighbor has degree > 0, so a user whose neighbor count equals
+    # the number of samplable items has no candidate left.
+    user_degree = np.bincount(edge_keys // g.num_items, minlength=g.num_users)
+    saturated = user_degree == np.count_nonzero(probs > 0)
+    for u in np.flatnonzero(saturated):
+        log.warning("user %d is adjacent to all samplable items; skipping its edges", u)
+    keep = ~saturated[g.users]
 
     users = np.repeat(g.users[keep], n_neg)
     items = np.repeat(g.items[keep], n_neg)
     signs = np.repeat(np.sign(g.weights[keep]).astype(np.int8), n_neg)
 
-    # Membership tests are vectorized over combined (user, item) keys.
-    edge_keys = np.sort(g.users * g.num_items + g.items)
     negatives = rng.choice(g.num_items, size=len(users), p=probs)
-    pending = np.isin(users * g.num_items + negatives, edge_keys)
+    pending = is_edge(users * g.num_items + negatives)
     while pending.any():
         idx = np.flatnonzero(pending)
         negatives[idx] = rng.choice(g.num_items, size=len(idx), p=probs)
-        pending[idx] = np.isin(users[idx] * g.num_items + negatives[idx], edge_keys)
+        pending[idx] = is_edge(users[idx] * g.num_items + negatives[idx])
     return TrainingTriples(users, items, negatives, signs)
 
 
@@ -139,8 +143,35 @@ def sign_aware_bpr_loss(z: Tensor, num_users: int, triples: TrainingTriples,
     terms = triple_loss_terms(z, num_users, triples, c, loss)
     total = ad.reduce_sum(terms)
     if lambda_reg > 0:
-        total = ad.add(total, ad.mul(ad.sum_squares(state.tensors()), lambda_reg))
+        total = ad.add(total, ad.l2_penalty(state.tensors(), lambda_reg))
     return total, terms.value
+
+
+def batch_rows(batch: TrainingTriples, num_users: int):
+    """The unique node rows a batch touches, and the batch indexed into them.
+
+    The returned triples index the gathered rows directly, item offset
+    included, so the loss takes them with ``num_users=0``.
+    """
+    nodes = np.concatenate([batch.users, num_users + batch.items,
+                            num_users + batch.negatives])
+    rows, local = np.unique(nodes, return_inverse=True)
+    users, items, negatives = np.split(local, 3)
+    return rows, TrainingTriples(users, items, negatives, batch.signs)
+
+
+def batch_loss(adjs: AdjacencySet, state: ModelState, cfg: ModelConfig,
+               tcfg: TrainConfig, num_users: int, batch: TrainingTriples,
+               training: bool = False, rng: np.random.Generator | None = None):
+    """One training step's loss, as ``sign_aware_bpr_loss`` returns it.
+
+    Propagation runs over the whole graph; the MLP, dropout, attention and
+    the loss run only on the rows the batch touches, since they act on one
+    row at a time.
+    """
+    rows, local = batch_rows(batch, num_users)
+    z, *_ = forward_tensors(adjs, state, cfg, training=training, rng=rng, rows=rows)
+    return sign_aware_bpr_loss(z, 0, local, tcfg.c, tcfg.lambda_reg, state, tcfg.loss)
 
 
 class Adam:
@@ -163,11 +194,23 @@ class Adam:
             grad = p.grad if p.grad is not None else np.zeros_like(p.value)
             if not np.isfinite(grad).all():
                 raise TrainingDiverged(f"non-finite gradient in {name}")
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * grad
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * grad ** 2
-            m_hat = self.m[name] / (1 - self.beta1 ** t)
-            v_hat = self.v[name] / (1 - self.beta2 ** t)
-            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            # in place, in the same operation order as
+            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2;
+            # p -= lr m_hat / (sqrt(v_hat) + eps)
+            m, v = self.m[name], self.v[name]
+            m *= self.beta1
+            m += (1 - self.beta1) * grad
+            v *= self.beta2
+            sq = grad * grad
+            sq *= 1 - self.beta2
+            v += sq
+            step = m / (1 - self.beta1 ** t)
+            step *= self.lr
+            denom = v / (1 - self.beta2 ** t)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            step /= denom
+            p.value -= step
 
 
 @dataclass
@@ -207,9 +250,8 @@ def train(g: SignedBipartiteGraph, cfg: ModelConfig, tcfg: TrainConfig,
         losses = []
         for lo in range(0, len(order), tcfg.batch_size):
             batch = triples.take(order[lo:lo + tcfg.batch_size])
-            z, *_ = forward_tensors(adjs, state, cfg, training=True, rng=dropout_rng)
-            loss, _ = sign_aware_bpr_loss(z, g.num_users, batch, tcfg.c,
-                                          tcfg.lambda_reg, state, tcfg.loss)
+            loss, _ = batch_loss(adjs, state, cfg, tcfg, g.num_users, batch,
+                                 training=True, rng=dropout_rng)
             if not np.isfinite(loss.value):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
             state.zero_grad()

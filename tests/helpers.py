@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from signrec.data import DatasetDescriptor, RatingRecord
+from signrec.train import TrainingTriples, noise_distribution
 
 
 def toy_descriptor(num_users, num_items):
@@ -72,6 +73,41 @@ def dense_propagate_reference(A, state, cfg, prefix="gnn"):
     if cfg.backbone == "lightgcn":
         return sum(layers) / len(layers)
     return np.concatenate(layers, axis=1)
+
+
+# ---------------------------------------------------------------------------
+# negative-sampler reference
+
+def reference_sample_negatives(g, n_neg, rng):
+    """Loop-and-set form of ``signrec.train.sample_negatives``.
+
+    Builds every user's neighbor set edge by edge and tests membership with
+    ``np.isin``; it makes the same ``rng.choice`` calls in the same order,
+    so the vectorized sampler must return identical triples.
+    """
+    probs = noise_distribution(g)
+    samplable = set(np.flatnonzero(probs > 0).tolist())
+    neighbors = {}
+    for u, v in zip(g.users, g.items):
+        neighbors.setdefault(int(u), set()).add(int(v))
+
+    keep = np.ones(g.num_edges, dtype=bool)
+    for u, items in neighbors.items():
+        if not (samplable - items):
+            keep &= g.users != u
+
+    users = np.repeat(g.users[keep], n_neg)
+    items = np.repeat(g.items[keep], n_neg)
+    signs = np.repeat(np.sign(g.weights[keep]).astype(np.int8), n_neg)
+
+    edge_keys = np.sort(g.users * g.num_items + g.items)
+    negatives = rng.choice(g.num_items, size=len(users), p=probs)
+    pending = np.isin(users * g.num_items + negatives, edge_keys)
+    while pending.any():
+        idx = np.flatnonzero(pending)
+        negatives[idx] = rng.choice(g.num_items, size=len(idx), p=probs)
+        pending[idx] = np.isin(users[idx] * g.num_items + negatives[idx], edge_keys)
+    return TrainingTriples(users, items, negatives, signs)
 
 
 # ---------------------------------------------------------------------------

@@ -97,14 +97,52 @@ def test_concat():
                                           ad.concat([a, b], axis=1))), [a, b])
 
 
-def test_mean_of():
-    xs = [_param(rng, 3, 2) for _ in range(3)]
-    check_op(lambda: ad.reduce_sum(ad.mul(ad.mean_of(xs), xs[0])), xs)
+def test_spmm_power_mean():
+    dense = rng.standard_normal((5, 5))
+    sym = dense + dense.T
+    mat = sp.csr_matrix(np.where(np.abs(sym) > 1.0, sym, 0.0))  # symmetric, sparse
+    x = _param(rng, 5, 3)
+    out = ad.spmm_power_mean(mat, x, 3).value
+    a = mat.toarray()
+    expected = (x.value + a @ x.value + a @ a @ x.value + a @ a @ a @ x.value) / 4
+    assert np.allclose(out, expected, rtol=1e-12, atol=1e-12)
+    check_op(lambda: ad.reduce_sum(ad.mul(ad.spmm_power_mean(mat, x, 3), x)), [x])
 
 
-def test_sum_squares():
+def test_l2_penalty():
     xs = [_param(rng, 2, 2), _param(rng, 3, 1)]
-    check_op(lambda: ad.sum_squares(xs), xs)
+    out = ad.l2_penalty(xs, 0.3)
+    assert float(out.value) == pytest.approx(0.3 * sum((x.value ** 2).sum() for x in xs))
+    check_op(lambda: ad.l2_penalty(xs, 0.3), xs)
+
+
+def test_gather_unique_rows_assigns():
+    x = _param(rng, 6, 2)
+    idx = np.array([4, 0, 3])
+    weights = rng.standard_normal((3, 2))
+    check_op(lambda: ad.reduce_sum(ad.mul(ad.gather_rows(x, idx, unique=True), weights)), [x])
+
+
+def test_gather_repeated_rows_sums_like_add_at():
+    x = Tensor(np.zeros((50, 3)), requires_grad=True)
+    idx = np.random.default_rng(3).integers(0, 50, 400)
+    grad = np.random.default_rng(4).standard_normal((400, 3))
+    ad.reduce_sum(ad.mul(ad.gather_rows(x, idx), grad)).backward()
+    expected = np.zeros((50, 3))
+    np.add.at(expected, idx, grad)
+    assert np.array_equal(x.grad, expected)
+
+
+def test_shared_gradient_array_is_not_aliased():
+    # add() hands one gradient array to both parents; a later in-place add
+    # into one parent must not leak into the other
+    a = Tensor(np.ones(3), requires_grad=True)
+    b = Tensor(np.ones(3), requires_grad=True)
+    s = ad.add(a, b)
+    total = ad.reduce_sum(ad.add(ad.mul(s, 2.0), ad.mul(a, 5.0)))
+    total.backward()
+    assert np.array_equal(a.grad, np.full(3, 7.0))
+    assert np.array_equal(b.grad, np.full(3, 2.0))
 
 
 def test_diamond_graph_accumulates_once():

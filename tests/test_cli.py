@@ -140,6 +140,40 @@ def test_config_file_with_flag_override(dataset_path, tmp_path):
     assert config["model"]["dim"] == 8
 
 
+def test_config_file_positive_only(dataset_path, tmp_path):
+    out = str(tmp_path / "runs")
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(f"dataset = {dataset_path}\nfolds = 3\nseed = 11\nout = {out}\n"
+                        "variant = no-gn\nloss = standard-bpr\npositive-only = true\n"
+                        "dim = 8\nlayers = 2\nn-neg = 2\nepochs = 1\n")
+    assert main(["--config", str(cfg_file), "split"]) == EXIT_OK
+    assert main(["--config", str(cfg_file), "train"]) == EXIT_OK
+    run_dir = next(p for p in os.listdir(out) if "posonly" in p)
+    config = json.load(open(os.path.join(out, run_dir, "config")))
+    assert config["training"]["positive_edges_only"] is True
+
+
+def test_config_file_threads_reach_thread_limit(dataset_path, tmp_path, monkeypatch):
+    from signrec import cli
+    limits = []
+    monkeypatch.setattr(cli, "_set_threads", limits.append)
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(f"dataset = {dataset_path}\nfolds = 3\nthreads = 2\n"
+                        f"out = {tmp_path / 'runs'}\n")
+    assert main(["--config", str(cfg_file), "split"]) == EXIT_OK
+    assert main(["--config", str(cfg_file), "split", "--force", "--threads", "1"]) == EXIT_OK
+    assert limits == [2, 1]
+
+
+@pytest.mark.parametrize("line", ["bogus = 1", "k_folds = 3", "positive-only = maybe",
+                                  "dim = eight", "k = 5,x"])
+def test_config_file_unknown_key_or_bad_value_is_usage_error(dataset_path, tmp_path, line):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(f"dataset = {dataset_path}\nout = {tmp_path / 'runs'}\n{line}\n")
+    assert main(["--config", str(cfg_file), "split"]) == EXIT_USAGE
+    assert not os.path.exists(tmp_path / "runs")
+
+
 def test_read_config_file_rejects_bad_line(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("this is not a key value pair\n")

@@ -137,11 +137,3 @@ def test_degree_table_matches_brute_force():
         counts[5 + v] += 1
     assert np.array_equal(adj.degrees, counts)
 
-
-def test_dump_edges(tmp_path):
-    from signrec.graph import dump_edges
-    g = _graph([RatingRecord("u0", "i0", 5.0), RatingRecord("u0", "i1", 1.0)])
-    path = tmp_path / "edges.tsv"
-    dump_edges(partition(g), str(path))
-    lines = path.read_text().splitlines()
-    assert len(lines) == 2 and lines[0].split("\t")[2] == "1.5"

@@ -6,7 +6,7 @@ from signrec.data import RatingRecord
 from signrec.graph import build_signed_graph, normalized_adjacency, partition
 from signrec.model import (
     AdjacencySet, EmbeddingSet, ModelConfig, ModelState, attention_fuse,
-    forward, init_state, load_checkpoint, mlp_forward, predict_preference,
+    forward, init_state, load_checkpoint, mlp_forward,
     propagate, save_checkpoint,
 )
 from signrec.rng import substream
@@ -154,16 +154,6 @@ def test_attention_softmax_normalization_fuzzed():
         lo = np.minimum(z_p.value, z_n.value) - 1e-12
         hi = np.maximum(z_p.value, z_n.value) + 1e-12
         assert np.all(fused.value >= lo) and np.all(fused.value <= hi)
-
-
-def test_predict_preference():
-    Z = np.array([[1.0, 2.0], [3.0, -1.0], [0.0, 0.0]])
-    assert predict_preference(Z, 1, 0, 0) == pytest.approx(1.0)
-    assert predict_preference(Z, 1, 0, 1) == pytest.approx(0.0)
-    unit = np.array([[0.6, 0.8], [0.6, 0.8]])
-    assert predict_preference(unit, 1, 0, 0) == pytest.approx(1.0)
-    with pytest.raises(IndexError):
-        predict_preference(Z, 1, 0, 5)
 
 
 def mixed_graph(rng, num_users=5, num_items=6):

@@ -5,15 +5,17 @@ import pytest
 
 from signrec.autodiff import Tensor
 from signrec.data import RatingRecord
-from signrec.graph import build_signed_graph, partition
+from signrec.graph import (
+    SignedBipartiteGraph, build_signed_graph, partition, positive_subgraph,
+)
 from signrec.model import AdjacencySet, ModelConfig, ModelState, forward_tensors, init_state
 from signrec.rng import substream
 from signrec.train import (
-    Adam, TrainConfig, TrainingDiverged, TrainingTriples, noise_distribution,
-    sample_negatives, sign_aware_bpr_loss, train, triple_loss_terms,
+    Adam, TrainConfig, TrainingDiverged, TrainingTriples, batch_loss, batch_rows,
+    noise_distribution, sample_negatives, sign_aware_bpr_loss, train, triple_loss_terms,
 )
 
-from helpers import random_records, toy_descriptor
+from helpers import random_records, reference_sample_negatives, toy_descriptor
 
 
 def small_graph(rng=None, num_users=5, num_items=6, count=14):
@@ -91,6 +93,37 @@ def test_sign_column_matches_edge_weights():
     signs = dict(zip(zip(g.users.tolist(), g.items.tolist()), np.sign(g.weights)))
     for u, i, s in zip(triples.users, triples.items, triples.signs):
         assert s == signs[(u, i)]
+
+
+def test_sampler_matches_reference_on_fuzzed_graphs():
+    rng = np.random.default_rng(41)
+    saturated_cases = 0
+    for case in range(300):
+        num_users = int(rng.integers(1, 8))
+        num_items = int(rng.integers(2, 9))
+        count = int(rng.integers(1, num_users * num_items + 1))
+        pairs = rng.choice(num_users * num_items, size=count, replace=False)
+        users, items = pairs // num_items, pairs % num_items
+        # make some users rate every item that has a rating
+        rated = np.unique(items)
+        for u in rng.choice(num_users, size=int(rng.integers(0, 3)), replace=True):
+            missing = np.setdiff1d(rated, items[users == u])
+            users = np.concatenate([users, np.full(len(missing), u)])
+            items = np.concatenate([items, missing])
+        weights = rng.choice([-2.5, -1.5, 0.5, 1.5], size=len(users))
+        g = SignedBipartiteGraph(num_users, num_items, users.astype(np.int64),
+                                 items.astype(np.int64), weights, 3.5)
+        degree = np.bincount(g.users, minlength=num_users)
+        saturated_cases += bool((degree == len(rated)).any())
+        n_neg = int(rng.integers(1, 6))
+        rng_a, rng_b = substream(case, "s"), substream(case, "s")
+        got = sample_negatives(g, n_neg, rng_a)
+        want = reference_sample_negatives(g, n_neg, rng_b)
+        for field in ("users", "items", "negatives", "signs"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), (case, field)
+            assert getattr(got, field).dtype == getattr(want, field).dtype
+        assert rng_a.random() == rng_b.random(), f"case {case}: draw counts differ"
+    assert saturated_cases > 50
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +244,46 @@ def test_loss_positivity_fuzzed():
         assert loss.value > 0 and (terms > 0).all()
 
 
+@pytest.mark.parametrize("backbone", ["lightgcn", "lrgccf", "ngcf"])
+def test_row_restricted_step_matches_full_graph_step(backbone):
+    """batch_loss (MLP, attention and loss on the batch's rows) vs the full graph."""
+    base = small_graph(np.random.default_rng(8), num_users=10, num_items=12, count=60)
+    for variant in ("mlp-gn", "gnn-gn", "no-gn", "no-split"):
+        for loss_name in ("sign-aware-bpr", "standard-bpr"):
+            for positive_only in (False, True):
+                g = positive_subgraph(base) if positive_only else base
+                cfg = ModelConfig(backbone=backbone, variant=variant, dim=4, gnn_layers=2,
+                                  attn_dim=3, dropout_p=0.0)
+                tcfg = TrainConfig(c=2.5, lambda_reg=0.05, loss=loss_name,
+                                   positive_edges_only=positive_only)
+                adjs = AdjacencySet.build(partition(g), cfg)
+                state = init_state(cfg, g.num_users, g.num_items, substream(3, "init"))
+                triples = sample_negatives(g, 1, substream(3, "s"))
+                batch = triples.take(np.arange(0, len(triples), 4))
+                rows, _ = batch_rows(batch, g.num_users)
+                assert len(rows) < g.num_users + g.num_items  # some rows left out
+
+                z, *_ = forward_tensors(adjs, state, cfg, training=False)
+                full, _ = sign_aware_bpr_loss(z, g.num_users, batch, tcfg.c,
+                                              tcfg.lambda_reg, state, tcfg.loss)
+                state.zero_grad()
+                full.backward()
+                want = {n: state[n].grad for n in state.names()}
+
+                restricted, _ = batch_loss(adjs, state, cfg, tcfg, g.num_users, batch,
+                                           training=True, rng=substream(3, "dropout"))
+                state.zero_grad()
+                restricted.backward()
+                case = (variant, loss_name, positive_only)
+                assert abs(float(restricted.value) - float(full.value)) \
+                    <= 1e-10 * abs(float(full.value)), case
+                for name in state.names():
+                    got = state[name].grad
+                    scale = np.abs(want[name]).max()
+                    assert scale > 0, (case, name)
+                    assert np.abs(got - want[name]).max() <= 1e-10 * scale, (case, name)
+
+
 # ---------------------------------------------------------------------------
 # Adam
 
@@ -243,6 +316,22 @@ def test_adam_descends_quadratic():
         p.grad = 2 * p.value
         opt.step()
     assert objective() < start
+
+
+def test_adam_matches_out_of_place_update_bitwise():
+    rng = np.random.default_rng(12)
+    p = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    opt = Adam(ModelState({"p": p}), lr=0.01)
+    ref, m, v = p.value.copy(), np.zeros((4, 3)), np.zeros((4, 3))
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    for t in range(1, 6):
+        grad = rng.standard_normal((4, 3))
+        p.grad = grad
+        opt.step()
+        m = b1 * m + (1 - b1) * grad
+        v = b2 * v + (1 - b2) * grad ** 2
+        ref -= 0.01 * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
+        assert np.array_equal(p.value, ref)
 
 
 def test_adam_rejects_non_finite_gradient():
