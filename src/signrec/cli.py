@@ -160,24 +160,29 @@ def _merge_config(args) -> ExperimentConfig:
     cfg.threads = pick("threads", int, cfg.threads)
     cfg.out = pick("out", str, cfg.out)
     cfg.ks = tuple(sorted(pick("k", _int_list, cfg.ks)))
+    if cfg.ks[0] < 1:
+        raise UsageError("--k must be >= 1")
 
-    cfg.model = ModelConfig(
-        backbone=pick("backbone", str, "lightgcn"),
-        variant=pick("variant", str, "mlp-gn"),
-        dim=pick("dim", int, 64),
-        gnn_layers=pick("layers", int, 3),
-    )
-    cfg.training = TrainConfig(
-        n_neg=pick("n_neg", int, 40),
-        c=pick("c", float, 2.0),
-        lambda_reg=pick("lambda_reg", float, 0.1),
-        learning_rate=pick("lr", float, 0.005),
-        batch_size=pick("batch_size", int, 1024),
-        epochs=pick("epochs", int, 200),
-        seed=cfg.seed,
-        loss=pick("loss", str, "sign-aware-bpr"),
-        positive_edges_only=pick("positive_only", bool, False),
-    )
+    try:
+        cfg.model = ModelConfig(
+            backbone=pick("backbone", str, "lightgcn"),
+            variant=pick("variant", str, "mlp-gn"),
+            dim=pick("dim", int, 64),
+            gnn_layers=pick("layers", int, 3),
+        )
+        cfg.training = TrainConfig(
+            n_neg=pick("n_neg", int, 40),
+            c=pick("c", float, 2.0),
+            lambda_reg=pick("lambda_reg", float, 0.1),
+            learning_rate=pick("lr", float, 0.005),
+            batch_size=pick("batch_size", int, 1024),
+            epochs=pick("epochs", int, 200),
+            seed=cfg.seed,
+            loss=pick("loss", str, "sign-aware-bpr"),
+            positive_edges_only=pick("positive_only", bool, False),
+        )
+    except ValueError as exc:  # a config object's check, or a bad config-file value
+        raise UsageError(str(exc)) from None
     return cfg
 
 
@@ -222,6 +227,8 @@ def run_dir_name(cfg: ExperimentConfig, fold: int) -> str:
 
 
 def cmd_train(args, cfg: ExperimentConfig) -> int:
+    if not 0 <= args.fold < cfg.k_folds:
+        raise UsageError(f"--fold must lie in [0, {cfg.k_folds})")
     records, descriptor = _load_dataset(cfg)
     directory = _manifest_dir(cfg)
     if not os.path.isdir(directory):

@@ -1,20 +1,23 @@
 """Top-K recommendation lists and ranking metrics (P@K, R@K, nDCG@K).
 
 Ground truth per user is the set of test items rated 4 or higher. Users
-with empty ground truth are excluded by default; metric means run over the
-evaluated users (configurable to divide by all M instead). Items the user
-touched in training, with either sign, are excluded from ranking.
+with empty ground truth are excluded; metric means run over the evaluated
+users. Items the user touched in training, with either sign, are excluded
+from ranking. Users are ranked in blocks: one score matrix per block, with
+the training items set to -inf, then one stable sort per row.
 """
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-GROUP_BINS = ((0, 20), (20, 50), (50, None))
+GROUP_BINS = ((0, 20), (20, 50), (50, math.inf))
 GROUND_TRUTH_MIN_RATING = 4.0
+BLOCK_USERS = 64  # users per score matrix: 64 x 3,700 items in float64 is 1.9 MB
 
 
 @dataclass
@@ -31,37 +34,34 @@ class RankingReport:
     groups: dict = field(default_factory=dict)  # label -> RankingReport
 
 
-def topk_recommend(Z: np.ndarray, num_users: int, u: int, k: int,
-                   exclude: set) -> list:
-    """Top-k items by predicted preference, ties broken by item index.
+def _item_mask(item_sets, num_items: int) -> np.ndarray:
+    """Boolean matrix whose row i is true on the items of ``item_sets[i]``."""
+    mask = np.zeros((len(item_sets), num_items), dtype=bool)
+    rows = np.repeat(np.arange(len(item_sets)), [len(s) for s in item_sets])
+    mask[rows, np.fromiter(itertools.chain.from_iterable(item_sets), dtype=np.int64,
+                           count=len(rows))] = True
+    return mask
 
-    Returns fewer than k items only when the candidate pool is smaller.
+
+def topk_recommend(Z: np.ndarray, num_users: int, users, k: int,
+                   exclude: dict) -> np.ndarray:
+    """Top-k items for each of ``users``, ties broken by the lower item index.
+
+    ``exclude`` maps a user to the items left out of its ranking. Returns an
+    int array of shape (len(users), k); a row holds -1 past the user's
+    candidate count, so a user with fewer than k candidates gets a short list.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     num_items = Z.shape[0] - num_users
-    scores = Z[num_users:] @ Z[u]
-    candidates = np.setdiff1d(np.arange(num_items), np.fromiter(exclude, dtype=np.int64,
-                                                                count=len(exclude)))
-    if len(candidates) == 0:
-        return []
-    # argsort on (-score, index): stable sort over index-ordered candidates
-    order = np.argsort(-scores[candidates], kind="stable")
-    return candidates[order[:k]].tolist()
-
-
-def precision_recall_at_k(recs, truth: set, k: int):
-    hits = len(truth.intersection(recs[:k]))
-    return hits / k, hits / len(truth)
-
-
-def ndcg_at_k(recs, truth: set, k: int) -> float:
-    # binary relevance: gain (2^y - 1) is 1 for hits, 0 otherwise
-    dcg = sum(1.0 / math.log2(pos + 2)
-              for pos, item in enumerate(recs[:k]) if item in truth)
-    ideal_hits = min(len(truth), k)
-    idcg = sum(1.0 / math.log2(pos + 2) for pos in range(ideal_hits))
-    return dcg / idcg
+    excluded = _item_mask([exclude.get(u, ()) for u in users], num_items)
+    scores = Z[users] @ Z[num_users:].T
+    scores[excluded] = -np.inf
+    top = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+    recs = np.full((len(users), k), -1, dtype=np.int64)
+    recs[:, :top.shape[1]] = top
+    recs[np.arange(k) >= num_items - excluded.sum(axis=1)[:, None]] = -1
+    return recs
 
 
 def ground_truth(test_records, descriptor) -> dict:
@@ -81,54 +81,61 @@ def train_interactions(train_records, descriptor) -> dict:
     return seen
 
 
-def _mean_report(per_user: dict, ks, denominator: int) -> RankingReport:
-    metrics = {}
-    for k in ks:
-        triples = [per_user[u][k] for u in per_user]
-        if denominator == 0:
-            metrics[k] = MetricTriple(0.0, 0.0, 0.0)
-        else:
-            metrics[k] = MetricTriple(
-                sum(t[0] for t in triples) / denominator,
-                sum(t[1] for t in triples) / denominator,
-                sum(t[2] for t in triples) / denominator,
-            )
-    return RankingReport(metrics, evaluated_users=len(per_user))
+def _mean_report(per_k: dict, members: np.ndarray) -> RankingReport:
+    """Means over the ``members`` rows, summed in user order as Python floats."""
+    count = int(members.sum())
+    metrics = {k: MetricTriple(*(sum(v[members].tolist()) / count if count else 0.0
+                                 for v in values))
+               for k, values in per_k.items()}
+    return RankingReport(metrics, evaluated_users=count)
 
 
 def evaluate(Z: np.ndarray, num_users: int, truth: dict, exclude: dict,
-             ks, groups: bool = False, include_all_users: bool = False) -> RankingReport:
+             ks, groups: bool = False) -> RankingReport:
     """Average per-user metrics over users with non-empty ground truth.
 
     ``truth`` and ``exclude`` map dense user index to item sets. When
     ``groups`` is set, users are additionally binned by training-interaction
-    count and per-bin sub-reports attached. ``include_all_users`` divides by
-    the full user count instead of the evaluated-user count.
+    count and per-bin sub-reports attached.
     """
     ks = sorted(ks)
-    per_user = {}
-    for u, truth_u in truth.items():
-        if not truth_u:
-            continue
-        recs = topk_recommend(Z, num_users, u, max(ks), exclude.get(u, set()))
-        per_user[u] = {}
-        for k in ks:
-            p, r = precision_recall_at_k(recs, truth_u, k)
-            per_user[u][k] = (p, r, ndcg_at_k(recs, truth_u, k))
-    if not per_user:
+    if ks[0] < 1:
+        raise ValueError("k must be >= 1")
+    users = [u for u, items in truth.items() if items]
+    if not users:
         raise ValueError("no evaluable users (all ground-truth sets empty)")
+    num_items, max_k = Z.shape[0] - num_users, ks[-1]
+    hits = np.empty((len(users), max_k), dtype=bool)
+    for start in range(0, len(users), BLOCK_USERS):
+        block = users[start:start + BLOCK_USERS]
+        recs = topk_recommend(Z, num_users, block, max_k, exclude)
+        relevant = _item_mask([truth[u] for u in block], num_items)
+        hits[start:start + len(block)] = (
+            relevant[np.arange(len(block))[:, None], recs] & (recs >= 0))
 
-    denominator = num_users if include_all_users else len(per_user)
-    report = _mean_report(per_user, ks, denominator)
+    # binary relevance: gain (2^y - 1) is 1 for hits, 0 otherwise. The running
+    # sums add the terms in rank order, as a per-user loop would.
+    discount = np.array([1.0 / math.log2(pos + 2) for pos in range(max_k)])
+    hit_counts = np.cumsum(hits, axis=1)
+    dcg = np.cumsum(hits * discount, axis=1)
+    idcg = np.cumsum(discount)
+    sizes = np.array([len(truth[u]) for u in users])
+    per_k = {k: (hit_counts[:, k - 1] / k, hit_counts[:, k - 1] / sizes,
+                 dcg[:, k - 1] / idcg[np.minimum(sizes, k) - 1]) for k in ks}
+
+    report = _mean_report(per_k, np.ones(len(users), dtype=bool))
     if groups:
+        seen = np.array([len(exclude.get(u, ())) for u in users])
         for lo, hi in GROUP_BINS:
-            label = f"[{lo},{hi if hi is not None else 'inf'})"
-            members = {u: per_user[u] for u in per_user
-                       if len(exclude.get(u, set())) >= lo
-                       and (hi is None or len(exclude.get(u, set())) < hi)}
-            denom = len(members) if not include_all_users else num_users
-            report.groups[label] = _mean_report(members, ks, denom)
+            report.groups[f"[{lo},{hi})"] = _mean_report(per_k, (seen >= lo) & (seen < hi))
     return report
+
+
+def _rows(report: RankingReport):
+    """(group label, K, MetricTriple) for all users, then for each group."""
+    for label, rep in [("all", report), *report.groups.items()]:
+        for k in sorted(rep.metrics):
+            yield label, k, rep.metrics[k]
 
 
 def write_report_csv(report: RankingReport, path: str) -> None:
@@ -136,27 +143,16 @@ def write_report_csv(report: RankingReport, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["K", "metric", "value", "group"])
-        def emit(rep, label):
-            for k in sorted(rep.metrics):
-                t = rep.metrics[k]
-                writer.writerow([k, "precision", f"{t.precision:.10f}", label])
-                writer.writerow([k, "recall", f"{t.recall:.10f}", label])
-                writer.writerow([k, "ndcg", f"{t.ndcg:.10f}", label])
-        emit(report, "all")
-        for label, sub in report.groups.items():
-            emit(sub, label)
+        for label, k, t in _rows(report):
+            for metric in ("precision", "recall", "ndcg"):
+                writer.writerow([k, metric, f"{getattr(t, metric):.10f}", label])
 
 
 def format_report(report: RankingReport) -> str:
     lines = [f"evaluated users: {report.evaluated_users}",
              f"{'K':>4} {'P@K':>10} {'R@K':>10} {'nDCG@K':>10}  group"]
-    def emit(rep, label):
-        for k in sorted(rep.metrics):
-            t = rep.metrics[k]
-            lines.append(f"{k:>4} {t.precision:>10.4f} {t.recall:>10.4f} {t.ndcg:>10.4f}  {label}")
-    emit(report, "all")
-    for label, sub in report.groups.items():
-        emit(sub, label)
+    lines += [f"{k:>4} {t.precision:>10.4f} {t.recall:>10.4f} {t.ndcg:>10.4f}  {label}"
+              for label, k, t in _rows(report)]
     return "\n".join(lines)
 
 

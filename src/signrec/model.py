@@ -52,15 +52,6 @@ class ModelConfig:
         return (self.gnn_layers + 1) * self.dim
 
 
-@dataclass
-class EmbeddingSet:
-    Z_p: np.ndarray
-    Z_n: np.ndarray | None
-    alpha_p: np.ndarray | None
-    alpha_n: np.ndarray | None
-    Z: np.ndarray
-
-
 class ModelState:
     """Named parameter tensors with a stable iteration order."""
 
@@ -221,18 +212,6 @@ def forward_tensors(adjs: AdjacencySet, state: ModelState, cfg: ModelConfig,
         z_n = mlp_forward(state, cfg, training, rng, rows)
     alpha_p, alpha_n, z = attention_fuse(z_p, z_n, state, cfg, training, rng)
     return z, z_p, z_n, alpha_p, alpha_n
-
-
-def forward(adjs: AdjacencySet, state: ModelState, cfg: ModelConfig,
-            training: bool = False, rng: np.random.Generator | None = None) -> EmbeddingSet:
-    z, z_p, z_n, alpha_p, alpha_n = forward_tensors(adjs, state, cfg, training, rng)
-    return EmbeddingSet(
-        Z_p=z_p.value,
-        Z_n=None if z_n is None else z_n.value,
-        alpha_p=None if alpha_p is None else alpha_p.value,
-        alpha_n=None if alpha_n is None else alpha_n.value,
-        Z=z.value,
-    )
 
 
 def save_checkpoint(path: str, state: ModelState, cfg: ModelConfig,

@@ -46,6 +46,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.c <= 1.0:
             raise ValueError("c must be > 1")
+        if min(self.epochs, self.n_neg, self.batch_size) < 1:
+            raise ValueError("epochs, n_neg and batch_size must be >= 1")
         if self.loss not in LOSSES:
             raise ValueError(f"unknown loss {self.loss!r}")
 

@@ -160,6 +160,7 @@ def desk_scale_ndcg():
     return results
 
 
+@pytest.mark.slow
 def test_criterion_07_sign_aware_beats_positive_only_baseline(desk_scale_ndcg):
     signed = desk_scale_ndcg["sign-aware"]
     base = desk_scale_ndcg["baseline"]
@@ -172,6 +173,7 @@ def test_criterion_07_sign_aware_beats_positive_only_baseline(desk_scale_ndcg):
     assert desk_scale_ndcg["elapsed"] < 7200, "exceeded the 2 CPU-hour budget"
 
 
+@pytest.mark.slow
 def test_criterion_08_negative_path_ablation_ordering(desk_scale_ndcg):
     """Reported as a finding: ordering failures are not hard failures."""
     mlp = desk_scale_ndcg["sign-aware"]

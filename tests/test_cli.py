@@ -174,6 +174,20 @@ def test_config_file_unknown_key_or_bad_value_is_usage_error(dataset_path, tmp_p
     assert not os.path.exists(tmp_path / "runs")
 
 
+@pytest.mark.parametrize("flags", [
+    ["--fold", "-1"], ["--fold", "3"], ["--epochs", "0"], ["--batch-size", "0"],
+    ["--n-neg", "0"], ["--c", "0.5"], ["--dim", "0"], ["--k", "0"],
+])
+def test_flags_that_cannot_work_are_usage_errors(dataset_path, tmp_path, flags):
+    out = str(tmp_path / "runs")
+    assert main(["split"] + base_args(dataset_path, out)) == EXIT_OK
+    if flags[0] == "--k":
+        args = ["evaluate"] + base_args(dataset_path, out) + ["--run", out]
+    else:
+        args = train_args(dataset_path, out)
+    assert main(args + flags) == EXIT_USAGE
+
+
 def test_read_config_file_rejects_bad_line(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("this is not a key value pair\n")

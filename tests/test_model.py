@@ -5,8 +5,8 @@ from signrec.autodiff import Tensor
 from signrec.data import RatingRecord
 from signrec.graph import build_signed_graph, normalized_adjacency, partition
 from signrec.model import (
-    AdjacencySet, EmbeddingSet, ModelConfig, ModelState, attention_fuse,
-    forward, init_state, load_checkpoint, mlp_forward,
+    AdjacencySet, ModelConfig, ModelState, attention_fuse,
+    forward_tensors, init_state, load_checkpoint, mlp_forward,
     propagate, save_checkpoint,
 )
 from signrec.rng import substream
@@ -168,9 +168,9 @@ def test_variant_no_gn_output_is_positive_path():
     cfg = ModelConfig(variant="no-gn", dim=3, gnn_layers=2, dropout_p=0.0)
     adjs = AdjacencySet.build(parts, cfg)
     state = init_state(cfg, 5, 6, substream(2, "init"))
-    result = forward(adjs, state, cfg)
-    assert result.Z is result.Z_p or np.array_equal(result.Z, result.Z_p)
-    assert result.Z_n is None and result.alpha_p is None
+    z, z_p, z_n, alpha_p, _ = forward_tensors(adjs, state, cfg)
+    assert np.array_equal(z.value, z_p.value)
+    assert z_n is None and alpha_p is None
 
 
 def test_variant_mlp_gn_ignores_negative_topology():
@@ -181,9 +181,9 @@ def test_variant_mlp_gn_ignores_negative_topology():
     cfg = ModelConfig(variant="mlp-gn", dim=3, gnn_layers=1, dropout_p=0.0)
     adjs = AdjacencySet.build(parts, cfg)
     state = init_state(cfg, 3, 3, substream(3, "init"))
-    result = forward(adjs, state, cfg)
+    z_n = forward_tensors(adjs, state, cfg)[2]
     expected = mlp_forward(state, cfg).value
-    assert np.array_equal(result.Z_n, expected)
+    assert np.array_equal(z_n.value, expected)
 
 
 def test_variant_gnn_gn_differs_only_in_negative_path():
@@ -195,10 +195,11 @@ def test_variant_gnn_gn_differs_only_in_negative_path():
         cfg = ModelConfig(variant=variant, dim=3, gnn_layers=2, dropout_p=0.0)
         adjs = AdjacencySet.build(parts, cfg)
         state = init_state(cfg, 5, 6, substream(state_seed, "init"))
-        outs[variant] = forward(adjs, state, cfg)
+        _, z_p, z_n, _, _ = forward_tensors(adjs, state, cfg)
+        outs[variant] = z_p.value, z_n.value
     # identical positive path (same substream draws h0 first in both)
-    assert np.array_equal(outs["mlp-gn"].Z_p, outs["gnn-gn"].Z_p)
-    assert not np.array_equal(outs["mlp-gn"].Z_n, outs["gnn-gn"].Z_n)
+    assert np.array_equal(outs["mlp-gn"][0], outs["gnn-gn"][0])
+    assert not np.array_equal(outs["mlp-gn"][1], outs["gnn-gn"][1])
 
 
 def test_variant_no_split_uses_all_edges():
@@ -207,7 +208,7 @@ def test_variant_no_split_uses_all_edges():
     cfg = ModelConfig(variant="no-split", dim=3, gnn_layers=2, dropout_p=0.0)
     adjs = AdjacencySet.build(parts, cfg)
     state = init_state(cfg, 5, 6, substream(4, "init"))
-    got = forward(adjs, state, cfg).Z
+    got = forward_tensors(adjs, state, cfg)[0].value
     expected = dense_propagate_reference(
         dense_adjacency(parts, "lightgcn", edge_set="all"), state.params, cfg)
     assert np.allclose(got, expected)
@@ -219,9 +220,9 @@ def test_forward_deterministic_without_dropout():
     cfg = ModelConfig(variant="mlp-gn", dim=3, gnn_layers=2, dropout_p=0.0)
     adjs = AdjacencySet.build(parts, cfg)
     state = init_state(cfg, 5, 6, substream(5, "init"))
-    a = forward(adjs, state, cfg, training=False)
-    b = forward(adjs, state, cfg, training=False)
-    assert np.array_equal(a.Z, b.Z)
+    a = forward_tensors(adjs, state, cfg, training=False)[0]
+    b = forward_tensors(adjs, state, cfg, training=False)[0]
+    assert np.array_equal(a.value, b.value)
 
 
 def test_output_dim_matches_layer_aggregation():
