@@ -162,6 +162,12 @@ def _merge_config(args) -> ExperimentConfig:
     cfg.ks = tuple(sorted(pick("k", _int_list, cfg.ks)))
     if cfg.ks[0] < 1:
         raise UsageError("--k must be >= 1")
+    # ratings lie on the 1-5 scale; a threshold at or beyond its ends makes
+    # every training edge one sign
+    if not 1.0 < cfg.w_o < 5.0:
+        raise UsageError("--w-o must lie strictly between 1 and 5")
+    if getattr(args, "checkpoint_every", 0) < 0:
+        raise UsageError("--checkpoint-every must be >= 0")
 
     try:
         cfg.model = ModelConfig(
@@ -285,8 +291,11 @@ def cmd_evaluate(args, cfg: ExperimentConfig) -> int:
             raise ValueError(f"{run_dir}: embeddings do not match dataset dimensions")
         truth = eval_mod.ground_truth(fold.test, descriptor)
         exclude = eval_mod.train_interactions(fold.train, descriptor)
-        report = eval_mod.evaluate(embeddings, descriptor.num_users, truth, exclude,
-                                   cfg.ks, groups=args.groups)
+        try:
+            report = eval_mod.evaluate(embeddings, descriptor.num_users, truth, exclude,
+                                       cfg.ks, groups=args.groups)
+        except ValueError as exc:
+            raise ValueError(f"{run_dir}: {exc}") from None
         eval_mod.write_report_csv(report, os.path.join(run_dir, "reports", "metrics.csv"))
         print(f"{run_dir}:")
         print(eval_mod.format_report(report))

@@ -4,13 +4,17 @@ Ground truth per user is the set of test items rated 4 or higher. Users
 with empty ground truth are excluded; metric means run over the evaluated
 users. Items the user touched in training, with either sign, are excluded
 from ranking. Users are ranked in blocks: one score matrix per block, with
-the training items set to -inf, then one stable sort per row.
+the training items set to -inf. Each row is partitioned at its K-th largest
+score, and only the items scoring at least that much are sorted, by score
+and then item index; the lists equal those of a full stable sort per row.
+Embeddings with a NaN or infinite value are rejected.
 """
 from __future__ import annotations
 
 import csv
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,13 +38,12 @@ class RankingReport:
     groups: dict = field(default_factory=dict)  # label -> RankingReport
 
 
-def _item_mask(item_sets, num_items: int) -> np.ndarray:
-    """Boolean matrix whose row i is true on the items of ``item_sets[i]``."""
-    mask = np.zeros((len(item_sets), num_items), dtype=bool)
-    rows = np.repeat(np.arange(len(item_sets)), [len(s) for s in item_sets])
-    mask[rows, np.fromiter(itertools.chain.from_iterable(item_sets), dtype=np.int64,
-                           count=len(rows))] = True
-    return mask
+def _pairs(item_sets) -> tuple:
+    """(row, item) index arrays of every item in ``item_sets[row]``."""
+    sizes = [len(s) for s in item_sets]
+    items = np.fromiter(itertools.chain.from_iterable(item_sets), dtype=np.int64,
+                        count=sum(sizes))
+    return np.repeat(np.arange(len(item_sets)), sizes), items
 
 
 def topk_recommend(Z: np.ndarray, num_users: int, users, k: int,
@@ -50,35 +53,48 @@ def topk_recommend(Z: np.ndarray, num_users: int, users, k: int,
     ``exclude`` maps a user to the items left out of its ranking. Returns an
     int array of shape (len(users), k); a row holds -1 past the user's
     candidate count, so a user with fewer than k candidates gets a short list.
+    The result equals ``argsort(-scores, kind="stable")[:, :k]``, but only the
+    items scoring at least a row's k-th largest score are sorted.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     num_items = Z.shape[0] - num_users
-    excluded = _item_mask([exclude.get(u, ()) for u in users], num_items)
+    excluded = [exclude.get(u, ()) for u in users]
     scores = Z[users] @ Z[num_users:].T
-    scores[excluded] = -np.inf
-    top = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+    scores[_pairs(excluded)] = -np.inf
+    kth = num_items - min(k, num_items)
+    threshold = np.partition(scores, kth, axis=1)[:, kth, None]
+    # every item tied with the k-th score is a candidate, so the tie-break holds:
+    # the flat positions run row by row with items ascending, and the stable
+    # lexsort keeps that order among equal scores
+    rows, cols = np.divmod(np.flatnonzero(scores >= threshold), num_items)
+    cols = cols[np.lexsort((-scores[rows, cols], rows))]
+    rank = np.arange(len(rows)) - np.searchsorted(rows, rows)  # place within its row
+    keep = rank < k
     recs = np.full((len(users), k), -1, dtype=np.int64)
-    recs[:, :top.shape[1]] = top
-    recs[np.arange(k) >= num_items - excluded.sum(axis=1)[:, None]] = -1
+    recs[rows[keep], rank[keep]] = cols[keep]
+    candidates = num_items - np.array([len(s) for s in excluded])
+    recs[np.arange(k) >= candidates[:, None]] = -1
     return recs
 
 
 def ground_truth(test_records, descriptor) -> dict:
     """Per-user set of test items rated at or above the relevance cutoff."""
-    truth = {}
+    users, items = descriptor.user_index, descriptor.item_index
+    truth = defaultdict(set)
     for r in test_records:
         if r.rating >= GROUND_TRUTH_MIN_RATING:
-            truth.setdefault(descriptor.user(r.user_id), set()).add(descriptor.item(r.item_id))
-    return truth
+            truth[users[r.user_id]].add(items[r.item_id])
+    return dict(truth)
 
 
 def train_interactions(train_records, descriptor) -> dict:
     """Per-user set of training items (both signs), used for exclusion."""
-    seen = {}
+    users, items = descriptor.user_index, descriptor.item_index
+    seen = defaultdict(set)
     for r in train_records:
-        seen.setdefault(descriptor.user(r.user_id), set()).add(descriptor.item(r.item_id))
-    return seen
+        seen[users[r.user_id]].add(items[r.item_id])
+    return dict(seen)
 
 
 def _mean_report(per_k: dict, members: np.ndarray) -> RankingReport:
@@ -101,6 +117,9 @@ def evaluate(Z: np.ndarray, num_users: int, truth: dict, exclude: dict,
     ks = sorted(ks)
     if ks[0] < 1:
         raise ValueError("k must be >= 1")
+    bad_rows = len(Z) - int(np.isfinite(Z).all(axis=1).sum())
+    if bad_rows:
+        raise ValueError(f"embeddings hold NaN or infinite values in {bad_rows} row(s)")
     users = [u for u, items in truth.items() if items]
     if not users:
         raise ValueError("no evaluable users (all ground-truth sets empty)")
@@ -109,7 +128,8 @@ def evaluate(Z: np.ndarray, num_users: int, truth: dict, exclude: dict,
     for start in range(0, len(users), BLOCK_USERS):
         block = users[start:start + BLOCK_USERS]
         recs = topk_recommend(Z, num_users, block, max_k, exclude)
-        relevant = _item_mask([truth[u] for u in block], num_items)
+        relevant = np.zeros((len(block), num_items), dtype=bool)
+        relevant[_pairs([truth[u] for u in block])] = True
         hits[start:start + len(block)] = (
             relevant[np.arange(len(block))[:, None], recs] & (recs >= 0))
 

@@ -11,6 +11,7 @@ the batch's rows only.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 
@@ -48,6 +49,10 @@ class TrainConfig:
             raise ValueError("c must be > 1")
         if min(self.epochs, self.n_neg, self.batch_size) < 1:
             raise ValueError("epochs, n_neg and batch_size must be >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and > 0")
+        if not (math.isfinite(self.lambda_reg) and self.lambda_reg >= 0):
+            raise ValueError("lambda_reg must be finite and >= 0")
         if self.loss not in LOSSES:
             raise ValueError(f"unknown loss {self.loss!r}")
 

@@ -111,7 +111,23 @@ def reference_sample_negatives(g, n_neg, rng):
 
 
 # ---------------------------------------------------------------------------
-# brute-force ranking metric oracle
+# brute-force ranking oracles
+
+def reference_topk(Z, num_users, users, k, exclude):
+    """Full-sort form of ``signrec.evaluate.topk_recommend``.
+
+    Scores the block with the same product, then sorts every candidate item
+    of each user by (-score, item) in Python; a row holds -1 past the user's
+    candidate count.
+    """
+    scores = Z[list(users)] @ Z[num_users:].T
+    recs = np.full((len(users), k), -1, dtype=np.int64)
+    for row, user in enumerate(users):
+        candidates = [v for v in range(scores.shape[1]) if v not in exclude.get(user, ())]
+        ranked = sorted(candidates, key=lambda v: (-scores[row, v], v))[:k]
+        recs[row, :len(ranked)] = ranked
+    return recs
+
 
 def brute_force_metrics(Z, num_users, user, truth, exclude, k):
     """(P@K, R@K, nDCG@K) for one user via exhaustive scoring and loops."""

@@ -177,6 +177,8 @@ def test_config_file_unknown_key_or_bad_value_is_usage_error(dataset_path, tmp_p
 @pytest.mark.parametrize("flags", [
     ["--fold", "-1"], ["--fold", "3"], ["--epochs", "0"], ["--batch-size", "0"],
     ["--n-neg", "0"], ["--c", "0.5"], ["--dim", "0"], ["--k", "0"],
+    ["--lr", "-1"], ["--lr", "0"], ["--lr", "nan"], ["--lr", "inf"], ["--lambda-reg", "-1"],
+    ["--w-o", "9"], ["--w-o", "5"], ["--w-o", "1"], ["--w-o", "0"], ["--checkpoint-every", "-1"],
 ])
 def test_flags_that_cannot_work_are_usage_errors(dataset_path, tmp_path, flags):
     out = str(tmp_path / "runs")
@@ -186,6 +188,21 @@ def test_flags_that_cannot_work_are_usage_errors(dataset_path, tmp_path, flags):
     else:
         args = train_args(dataset_path, out)
     assert main(args + flags) == EXIT_USAGE
+
+
+def test_evaluate_rejects_non_finite_embeddings(dataset_path, tmp_path, capsys):
+    out = str(tmp_path / "runs")
+    assert main(["split"] + base_args(dataset_path, out)) == EXIT_OK
+    assert main(train_args(dataset_path, out, epochs=1)) == EXIT_OK
+    run_path = os.path.join(out, next(p for p in os.listdir(out) if "mlp-gn" in p))
+    emb_path = os.path.join(run_path, "embeddings.npy")
+    embeddings = np.load(emb_path)
+    embeddings[3, 1] = np.nan
+    np.save(emb_path, embeddings)
+    code = main(["evaluate"] + base_args(dataset_path, out) + ["--run", run_path])
+    assert code == EXIT_DATA
+    assert "in 1 row(s)" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(run_path, "reports", "metrics.csv"))
 
 
 def test_read_config_file_rejects_bad_line(tmp_path):

@@ -9,7 +9,7 @@ from signrec.evaluate import (
     train_interactions, write_report_csv,
 )
 
-from helpers import brute_force_metrics, toy_descriptor
+from helpers import brute_force_metrics, reference_topk, toy_descriptor
 
 
 def embed(user_rows, item_rows):
@@ -49,6 +49,37 @@ def test_topk_fewer_candidates_than_k():
         [1, -1, -1, -1, -1], [0, 1, -1, -1, -1]]
     with pytest.raises(ValueError):
         topk_recommend(Z, 2, [0], 0, {})
+
+
+def test_topk_matches_full_sort_with_ties():
+    # Embeddings in {-1, 0, 1} make exact ties common, including ties that
+    # straddle the K-th place. K runs from 1 to past the item count; some
+    # users have every item excluded and others fewer candidates than K.
+    rng = np.random.default_rng(4)
+    for trial in range(60):
+        num_users, num_items = int(rng.integers(1, 90)), int(rng.integers(1, 40))
+        dim = int(rng.integers(1, 4))
+        Z = rng.integers(-1, 2, size=(num_users + num_items, dim)).astype(float)
+        exclude = {}
+        for u in range(num_users):
+            size = int(rng.choice([0, num_items, rng.integers(0, num_items + 1)]))
+            exclude[u] = set(rng.choice(num_items, size, replace=False).tolist())
+        users = rng.permutation(num_users).tolist()
+        for k in sorted({1, 3, 20, num_items, num_items + 5}):
+            assert np.array_equal(topk_recommend(Z, num_users, users, k, exclude),
+                                  reference_topk(Z, num_users, users, k, exclude)), (trial, k)
+
+
+def test_topk_matches_full_sort_real_scores():
+    # rows of 300 items with distinct scores, longer than the tie test's
+    rng = np.random.default_rng(5)
+    num_users, num_items = 70, 300
+    Z = rng.standard_normal((num_users + num_items, 8))
+    exclude = {u: set(rng.choice(num_items, int(rng.integers(0, 60)), replace=False).tolist())
+               for u in range(num_users)}
+    for k in (1, 10, 20):
+        assert np.array_equal(topk_recommend(Z, num_users, range(num_users), k, exclude),
+                              reference_topk(Z, num_users, range(num_users), k, exclude))
 
 
 def test_precision_recall_arithmetic():
@@ -109,6 +140,12 @@ def test_evaluate_empty_truth_users_excluded():
     Z = embed([[1.0], [1.0]], [[1.0], [2.0]])
     report = evaluate(Z, 2, {0: {0}, 1: set()}, {}, ks=[1])
     assert report.evaluated_users == 1
+
+
+def test_evaluate_rejects_non_finite_embeddings():
+    Z = embed([[1.0], [2.0]], [[1.0], [np.inf], [np.nan]])
+    with pytest.raises(ValueError, match="in 2 row"):
+        evaluate(Z, 2, {0: {0}}, {}, ks=[1])
 
 
 def test_evaluate_errors_when_no_users():
