@@ -2,8 +2,9 @@
 
 Just enough ops for this model family: dense/sparse matrix products,
 LightGCN layer aggregation as one fused op, elementwise arithmetic with
-broadcasting, the activations we use, row gathering with scatter-add
-backward, concatenation, reductions, and the L2 penalty.
+broadcasting, the activations we use, row gathering, the sign-aware
+pairwise ranking terms as one fused op, concatenation, reductions, and the
+L2 penalty.
 Values are kept in float64 so analytic gradients can be validated against
 central finite differences.
 """
@@ -252,45 +253,73 @@ def sigmoid(a: Tensor) -> Tensor:
     return out
 
 
-def softplus(a: Tensor) -> Tensor:
-    """log(1 + exp(x)), overflow-safe; gradient is sigmoid(x)."""
-    out = Tensor(np.logaddexp(0.0, a.value), parents=(a,))
+def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
+    """Rows ``a[idx]`` for an index array without repeats.
 
-    def backward(grad):
-        if a.requires_grad:
-            x = a.value
-            s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                         np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-            a._accumulate(grad * s)
-
-    out._backward = backward
-    return out
-
-
-def gather_rows(a: Tensor, idx: np.ndarray, unique: bool = False) -> Tensor:
-    """Rows ``a[idx]``; pass ``unique=True`` when ``idx`` has no repeats.
-
-    The backward scatters each gradient row back to its source row. Repeated
-    rows are summed by a sparse (rows x len(idx)) product whose columns run
-    in ``idx`` order, so they add up in the same order as ``np.add.at``;
-    unique rows are simply assigned.
+    The backward assigns each gradient row back to its source row.
     """
     idx = np.asarray(idx)
     out = Tensor(a.value[idx], parents=(a,))
 
     def backward(grad):
-        if not a.requires_grad:
-            return
-        n = a.shape[0]
-        if unique:
+        if a.requires_grad:
             full = np.zeros_like(a.value)
             full[idx] = grad
-        else:
-            order = np.argsort(idx, kind="stable")
-            indptr = np.concatenate(([0], np.cumsum(np.bincount(idx, minlength=n))))
-            scatter = sp.csr_matrix((np.ones(len(idx)), order, indptr), shape=(n, len(idx)))
-            full = scatter @ grad
-        a._accumulate(full)
+            a._accumulate(full)
+
+    out._backward = backward
+    return out
+
+
+def scatter_rows(idx: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """An ``(n, d)`` array whose row r is the sum of ``rows[k]`` over ``idx[k] == r``.
+
+    Equal bit for bit to ``np.add.at`` into zeros: a stable sort of ``idx``
+    keeps each row's addends in their original order, and a sparse
+    (n x len(idx)) product adds them up in that order. The sort runs on the
+    narrowest unsigned dtype that holds ``n - 1``, which numpy radix-sorts
+    up to 16 bits.
+    """
+    order = np.argsort(idx.astype(np.min_scalar_type(max(n - 1, 0))), kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(idx, minlength=n))))
+    scatter = sp.csr_matrix((np.ones(len(idx)), order, indptr), shape=(n, len(idx)))
+    return scatter @ rows
+
+
+def bpr_terms(z: Tensor, users: np.ndarray, items: np.ndarray, negatives: np.ndarray,
+              coef: np.ndarray) -> Tensor:
+    """Per-triple ``softplus(r_uj - coef * r_ui)``, as one tape node.
+
+    ``r_ui`` and ``r_uj`` are the dot products of the rows ``z[users]`` with
+    ``z[items]`` and ``z[negatives]``; softplus is ``log(1 + exp(x))``,
+    overflow-safe. The backward repeats the elementwise steps of the chain of
+    gathers, products, row sums, margin and softplus in that chain's order,
+    sums each row set's gradient rows in index order (``scatter_rows``), and
+    then adds the three sets. When no row is both a user row and an item
+    row, a row adds at most two such sums, so the gradient equals that
+    chain's bit for bit.
+    """
+    zv = z.value
+    z_u, z_i, z_j = zv[users], zv[items], zv[negatives]
+    r_ui = (z_u * z_i).sum(axis=1)
+    r_uj = (z_u * z_j).sum(axis=1)
+    x = (r_ui * coef - r_uj) * -1.0
+    out = Tensor(np.logaddexp(0.0, x), parents=(z,))
+
+    def backward(grad):
+        if not z.requires_grad:
+            return
+        e = np.exp(-np.abs(x))
+        sig = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        g_margin = grad * sig * -1.0
+        g_ui = (g_margin * coef)[:, None]
+        g_uj = (-g_margin)[:, None]
+        # one scatter into three stacked blocks keeps the row sets apart
+        n = zv.shape[0]
+        rows = np.concatenate([g_ui * z_i + g_uj * z_j, g_ui * z_u, g_uj * z_u])
+        idx = np.concatenate([users, n + items, 2 * n + negatives])
+        blocks = scatter_rows(idx, rows, 3 * n)
+        z._accumulate(blocks[:n] + blocks[n:2 * n] + blocks[2 * n:])
 
     out._backward = backward
     return out

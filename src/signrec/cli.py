@@ -285,7 +285,11 @@ def cmd_evaluate(args, cfg: ExperimentConfig) -> int:
             raise FileNotFoundError(f"{run_dir}: missing config")
         with open(config_path, "r", encoding="utf-8") as fh:
             run_cfg = json.load(fh)
-        fold = folds[run_cfg["fold"]]
+        fold_index = run_cfg.get("fold") if isinstance(run_cfg, dict) else None
+        if type(fold_index) is not int or not 0 <= fold_index < len(folds):
+            raise ValueError(f"{run_dir}: config fold {fold_index!r} is not an integer "
+                             f"in [0, {len(folds)})")
+        fold = folds[fold_index]
         embeddings = np.load(os.path.join(run_dir, "embeddings.npy"))
         if embeddings.shape[0] != descriptor.num_users + descriptor.num_items:
             raise ValueError(f"{run_dir}: embeddings do not match dataset dimensions")

@@ -162,9 +162,10 @@ def kfold_split(records, k: int, seed: int) -> list:
     chunks = np.array_split(order, k)
     folds = []
     for fold_index, test_idx in enumerate(chunks):
-        test_set = set(test_idx.tolist())
-        train = [records[i] for i in range(len(records)) if i not in test_set]
-        test = [records[i] for i in sorted(test_set)]
+        in_test = np.zeros(len(records), dtype=bool)
+        in_test[test_idx] = True
+        train = list(map(records.__getitem__, np.flatnonzero(~in_test).tolist()))
+        test = list(map(records.__getitem__, np.flatnonzero(in_test).tolist()))
         folds.append(FoldSplit(fold_index, train, test))
     return folds
 

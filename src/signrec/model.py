@@ -141,7 +141,7 @@ def mlp_forward(state: ModelState, cfg: ModelConfig, training: bool = False,
     """MLP over the negative path's embedding table, or over its ``rows``."""
     z = state["mlp.z0"]
     if rows is not None:
-        z = ad.gather_rows(z, rows, unique=True)
+        z = ad.gather_rows(z, rows)
     for layer in range(cfg.mlp_layers):
         z = ad.relu(ad.add(ad.matmul(z, state[f"mlp.w{layer}"]), state[f"mlp.b{layer}"]))
         if training and layer < cfg.mlp_layers - 1:
@@ -198,7 +198,7 @@ def forward_tensors(adjs: AdjacencySet, state: ModelState, cfg: ModelConfig,
     holds one row per entry of ``rows``.
     """
     def restrict(z: Tensor) -> Tensor:
-        return z if rows is None else ad.gather_rows(z, rows, unique=True)
+        return z if rows is None else ad.gather_rows(z, rows)
 
     if cfg.variant == "no-split":
         z = restrict(propagate(adjs.full, state, cfg))

@@ -84,6 +84,11 @@ def noise_distribution(g: SignedBipartiteGraph) -> np.ndarray:
     return weights / total
 
 
+def _bit(keys: np.ndarray) -> np.ndarray:
+    """Each key's bit within its byte of a packed bitset."""
+    return np.left_shift(np.uint8(1), (keys & 7).astype(np.uint8))
+
+
 def sample_negatives(g: SignedBipartiteGraph, n_neg: int,
                      rng: np.random.Generator) -> TrainingTriples:
     """Draw ``n_neg`` unobserved items per edge by rejection sampling.
@@ -92,12 +97,14 @@ def sample_negatives(g: SignedBipartiteGraph, n_neg: int,
     users adjacent to every samplable item are skipped with a warning.
     """
     probs = noise_distribution(g)
-    # Sorted, distinct (user, item) keys: membership tests are binary searches.
+    # Distinct (user, item) keys, and one bit per key for membership tests.
     edge_keys = np.unique(g.users * g.num_items + g.items)
+    bits = np.zeros(-(-g.num_users * g.num_items // 8), dtype=np.uint8)
+    key_bytes, first = np.unique(edge_keys >> 3, return_index=True)
+    bits[key_bytes] = np.bitwise_or.reduceat(_bit(edge_keys), first)
 
     def is_edge(keys):
-        pos = np.minimum(np.searchsorted(edge_keys, keys), len(edge_keys) - 1)
-        return edge_keys[pos] == keys
+        return (bits[keys >> 3] & _bit(keys)).astype(bool)
 
     # Every neighbor has degree > 0, so a user whose neighbor count equals
     # the number of samplable items has no candidate left.
@@ -126,19 +133,14 @@ def triple_loss_terms(z: Tensor, num_users: int, triples: TrainingTriples,
 
     Positive-sign triples use sigma(r_ui - r_uj); negative-sign triples use
     sigma(c*r_ui - r_uj). In standard-bpr mode every triple takes the
-    positive branch. Computed as softplus(-x) for stability.
+    positive branch. Computed as softplus(-x) for stability, in one tape node.
     """
-    z_u = ad.gather_rows(z, triples.users)
-    z_i = ad.gather_rows(z, num_users + triples.items)
-    z_j = ad.gather_rows(z, num_users + triples.negatives)
-    r_ui = ad.reduce_sum(ad.mul(z_u, z_i), axis=1)
-    r_uj = ad.reduce_sum(ad.mul(z_u, z_j), axis=1)
     if loss == "standard-bpr":
         coef = np.ones(len(triples))
     else:
         coef = np.where(triples.signs < 0, c, 1.0)
-    margin = ad.sub(ad.mul(r_ui, ad.constant(coef)), r_uj)
-    return ad.softplus(ad.mul(margin, -1.0))
+    return ad.bpr_terms(z, triples.users, num_users + triples.items,
+                        num_users + triples.negatives, coef)
 
 
 def sign_aware_bpr_loss(z: Tensor, num_users: int, triples: TrainingTriples,

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from signrec import autodiff as ad
+from signrec.autodiff import Tensor
 from signrec.data import DatasetDescriptor, RatingRecord
 from signrec.train import TrainingTriples, noise_distribution
 
@@ -108,6 +110,56 @@ def reference_sample_negatives(g, n_neg, rng):
         negatives[idx] = rng.choice(g.num_items, size=len(idx), p=probs)
         pending[idx] = np.isin(users[idx] * g.num_items + negatives[idx], edge_keys)
     return TrainingTriples(users, items, negatives, signs)
+
+
+# ---------------------------------------------------------------------------
+# loss-head reference
+
+def _gather_repeated(a, idx):
+    """Tape node for ``a[idx]`` with repeats; the backward sums with ``np.add.at``."""
+    out = Tensor(a.value[idx], parents=(a,))
+
+    def backward(grad):
+        full = np.zeros_like(a.value)
+        np.add.at(full, idx, grad)
+        a._accumulate(full)
+
+    out._backward = backward
+    return out
+
+
+def _softplus(a):
+    """Tape node for log(1 + exp(x)); the gradient is sigmoid(x)."""
+    out = Tensor(np.logaddexp(0.0, a.value), parents=(a,))
+
+    def backward(grad):
+        x = a.value
+        s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        a._accumulate(grad * s)
+
+    out._backward = backward
+    return out
+
+
+def reference_triple_loss_terms(z, num_users, triples, c, loss):
+    """Chain-of-nodes form of ``signrec.train.triple_loss_terms``.
+
+    Three repeated-row gathers, two products with row sums, the coefficient,
+    the margin, the negation and softplus, each its own tape node. The fused
+    op must give the same terms and the same gradient bit for bit.
+    """
+    z_u = _gather_repeated(z, triples.users)
+    z_i = _gather_repeated(z, num_users + triples.items)
+    z_j = _gather_repeated(z, num_users + triples.negatives)
+    r_ui = ad.reduce_sum(ad.mul(z_u, z_i), axis=1)
+    r_uj = ad.reduce_sum(ad.mul(z_u, z_j), axis=1)
+    if loss == "standard-bpr":
+        coef = np.ones(len(triples))
+    else:
+        coef = np.where(triples.signs < 0, c, 1.0)
+    margin = ad.sub(ad.mul(r_ui, ad.constant(coef)), r_uj)
+    return _softplus(ad.mul(margin, -1.0))
 
 
 # ---------------------------------------------------------------------------

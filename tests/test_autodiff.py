@@ -61,7 +61,7 @@ def test_spmm():
     check_op(lambda: ad.reduce_sum(ad.mul(ad.spmm(mat, x), x)), [x])
 
 
-@pytest.mark.parametrize("op", [ad.relu, ad.tanh, ad.sigmoid, ad.softplus,
+@pytest.mark.parametrize("op", [ad.relu, ad.tanh, ad.sigmoid,
                                 lambda t: ad.leaky_relu(t, 0.1)])
 def test_unary_ops(op):
     # offset away from the ReLU kink so finite differences are clean
@@ -69,19 +69,33 @@ def test_unary_ops(op):
     check_op(lambda: ad.reduce_sum(op(x)), [x])
 
 
-def test_softplus_stable_at_large_arguments():
-    x = Tensor(np.array([1e3, -1e3]), requires_grad=True)
-    y = ad.softplus(x)
+def test_bpr_terms_finite_at_large_margins():
+    # rows 0-1 users, 2-3 items; margins coef * r_ui - r_uj of -1e3 and +1e3
+    z = Tensor(np.array([[1.0], [1.0], [0.0], [1e3]]), requires_grad=True)
+    y = ad.bpr_terms(z, np.array([0, 1]), np.array([2, 3]), np.array([3, 2]),
+                     np.ones(2))
     assert np.isfinite(y.value).all()
     assert y.value[0] == pytest.approx(1e3)
     assert y.value[1] == pytest.approx(0.0, abs=1e-300)
+    ad.reduce_sum(y).backward()
+    assert np.isfinite(z.grad).all()
+
+
+def test_bpr_terms_matches_finite_differences():
+    # repeated users, items and negatives; row 5 is a negative and a positive
+    x = _param(rng, 8, 3)
+    users = np.array([0, 0, 1, 2, 1, 0])
+    items = np.array([3, 5, 3, 4, 6, 3])
+    negatives = np.array([5, 7, 7, 3, 5, 5])
+    coef = np.array([1.0, 2.0, 1.0, 2.0, 2.0, 1.0])
+    check_op(lambda: ad.reduce_sum(ad.bpr_terms(x, users, items, negatives, coef)), [x])
 
 
 def test_gather_rows_scatter_add():
+    # two gathers of one tensor whose rows overlap add up in the source rows
     x = _param(rng, 5, 2)
-    idx = np.array([0, 2, 2, 4])
-    check_op(lambda: ad.reduce_sum(ad.mul(ad.gather_rows(x, idx),
-                                          ad.gather_rows(x, idx))), [x])
+    check_op(lambda: ad.reduce_sum(ad.mul(ad.gather_rows(x, np.array([0, 2, 4])),
+                                          ad.gather_rows(x, np.array([2, 4, 1])))), [x])
 
 
 def test_reduce_sum_axis():
@@ -120,17 +134,21 @@ def test_gather_unique_rows_assigns():
     x = _param(rng, 6, 2)
     idx = np.array([4, 0, 3])
     weights = rng.standard_normal((3, 2))
-    check_op(lambda: ad.reduce_sum(ad.mul(ad.gather_rows(x, idx, unique=True), weights)), [x])
+    check_op(lambda: ad.reduce_sum(ad.mul(ad.gather_rows(x, idx), weights)), [x])
 
 
-def test_gather_repeated_rows_sums_like_add_at():
-    x = Tensor(np.zeros((50, 3)), requires_grad=True)
-    idx = np.random.default_rng(3).integers(0, 50, 400)
-    grad = np.random.default_rng(4).standard_normal((400, 3))
-    ad.reduce_sum(ad.mul(ad.gather_rows(x, idx), grad)).backward()
-    expected = np.zeros((50, 3))
-    np.add.at(expected, idx, grad)
-    assert np.array_equal(x.grad, expected)
+@pytest.mark.parametrize("n", [255, 256, 257, 65535, 65536, 65537])
+def test_scatter_rows_matches_add_at(n):
+    # row counts on both sides of the uint8, uint16 and uint32 index sorts
+    gen = np.random.default_rng(n)
+    idx = np.concatenate([gen.integers(0, n, 600), gen.integers(n - 3, n, 200),
+                          gen.integers(0, 3, 200)])
+    gen.shuffle(idx)
+    rows = gen.standard_normal((len(idx), 3))
+    rows[::7] = -0.0
+    expected = np.zeros((n, 3))
+    np.add.at(expected, idx, rows)
+    assert ad.scatter_rows(idx, rows, n).tobytes() == expected.tobytes()
 
 
 def test_shared_gradient_array_is_not_aliased():

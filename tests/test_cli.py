@@ -205,6 +205,29 @@ def test_evaluate_rejects_non_finite_embeddings(dataset_path, tmp_path, capsys):
     assert not os.path.exists(os.path.join(run_path, "reports", "metrics.csv"))
 
 
+@pytest.mark.parametrize("fold", [7, None, -1, "0"],
+                         ids=["past-last", "missing", "negative", "string"])
+def test_evaluate_rejects_run_config_fold(dataset_path, tmp_path, capsys, fold):
+    # a fold past the split, a missing one, a negative one and a string
+    out = str(tmp_path / "runs")
+    assert main(["split"] + base_args(dataset_path, out)) == EXIT_OK
+    assert main(train_args(dataset_path, out, epochs=1)) == EXIT_OK
+    run_path = os.path.join(out, next(p for p in os.listdir(out) if "mlp-gn" in p))
+    config_path = os.path.join(run_path, "config")
+    config = json.load(open(config_path))
+    if fold is None:
+        del config["fold"]
+    else:
+        config["fold"] = fold
+    with open(config_path, "w") as fh:
+        json.dump(config, fh)
+    code = main(["evaluate"] + base_args(dataset_path, out) + ["--run", run_path])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert run_path in err and "fold" in err
+    assert not os.path.exists(os.path.join(run_path, "reports", "metrics.csv"))
+
+
 def test_read_config_file_rejects_bad_line(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("this is not a key value pair\n")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from signrec import autodiff as ad
 from signrec.autodiff import Tensor
 from signrec.data import RatingRecord
 from signrec.graph import (
@@ -11,11 +12,13 @@ from signrec.graph import (
 from signrec.model import AdjacencySet, ModelConfig, ModelState, forward_tensors, init_state
 from signrec.rng import substream
 from signrec.train import (
-    Adam, TrainConfig, TrainingDiverged, TrainingTriples, batch_loss, batch_rows,
+    LOSSES, Adam, TrainConfig, TrainingDiverged, TrainingTriples, batch_loss, batch_rows,
     noise_distribution, sample_negatives, sign_aware_bpr_loss, train, triple_loss_terms,
 )
 
-from helpers import random_records, reference_sample_negatives, toy_descriptor
+from helpers import (
+    random_records, reference_sample_negatives, reference_triple_loss_terms, toy_descriptor,
+)
 
 
 def small_graph(rng=None, num_users=5, num_items=6, count=14):
@@ -98,9 +101,11 @@ def test_sign_column_matches_edge_weights():
 def test_sampler_matches_reference_on_fuzzed_graphs():
     rng = np.random.default_rng(41)
     saturated_cases = 0
-    for case in range(300):
-        num_users = int(rng.integers(1, 8))
-        num_items = int(rng.integers(2, 9))
+    for case in range(340):
+        # the last 40 graphs span many bitset bytes per user
+        wide = case >= 300
+        num_users = int(rng.integers(9 if wide else 1, 41 if wide else 8))
+        num_items = int(rng.integers(9 if wide else 2, 41 if wide else 9))
         count = int(rng.integers(1, num_users * num_items + 1))
         pairs = rng.choice(num_users * num_items, size=count, replace=False)
         users, items = pairs // num_items, pairs % num_items
@@ -242,6 +247,31 @@ def test_loss_positivity_fuzzed():
                                   rng.choice([-1, 1], 2).astype(np.int8))
         loss, terms = sign_aware_bpr_loss(z, 2, triples, 2.0, 0.0, dummy_state())
         assert loss.value > 0 and (terms > 0).all()
+
+
+@pytest.mark.parametrize("loss_name", LOSSES)
+def test_fused_loss_head_matches_reference_chain(loss_name):
+    """Terms and z.grad equal the chain of small tape nodes bit for bit."""
+    rng = np.random.default_rng(17)
+    for case in range(40):
+        num_users, num_items = int(rng.integers(1, 6)), int(rng.integers(2, 8))
+        size = int(rng.integers(1, 60))
+        triples = TrainingTriples(rng.integers(0, num_users, size),
+                                  rng.integers(0, num_items, size),
+                                  rng.integers(0, num_items, size),
+                                  rng.choice([-1, 1], size).astype(np.int8))
+        # a negative that is another triple's positive item
+        triples.negatives[0] = triples.items[-1]
+        value = rng.standard_normal((num_users + num_items, 4)) * rng.choice([0.1, 1.0, 30.0])
+        value[rng.integers(0, len(value))] = -0.0
+        z_fused = Tensor(value.copy(), requires_grad=True)
+        z_chain = Tensor(value.copy(), requires_grad=True)
+        fused = triple_loss_terms(z_fused, num_users, triples, 2.5, loss_name)
+        chain = reference_triple_loss_terms(z_chain, num_users, triples, 2.5, loss_name)
+        assert fused.value.tobytes() == chain.value.tobytes(), case
+        ad.reduce_sum(fused).backward()
+        ad.reduce_sum(chain).backward()
+        assert z_fused.grad.tobytes() == z_chain.grad.tobytes(), case
 
 
 @pytest.mark.parametrize("backbone", ["lightgcn", "lrgccf", "ngcf"])
