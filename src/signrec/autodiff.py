@@ -3,8 +3,9 @@
 Just enough ops for this model family: dense/sparse matrix products,
 LightGCN layer aggregation as one fused op, elementwise arithmetic with
 broadcasting, the activations we use, row gathering, the sign-aware
-pairwise ranking terms as one fused op, concatenation, reductions, and the
-L2 penalty.
+pairwise ranking terms as one fused op, concatenation and reductions. The
+L2 penalty is not a tape op: ``signrec.train`` adds its value to the loss
+and its gradient in the optimizer step.
 Values are kept in float64 so analytic gradients can be validated against
 central finite differences.
 """
@@ -180,26 +181,46 @@ def spmm(matrix: sp.spmatrix, x: Tensor) -> Tensor:
     return out
 
 
-def spmm_power_mean(matrix: sp.spmatrix, x: Tensor, layers: int) -> Tensor:
+def spmm_power_mean(matrix: sp.spmatrix, x: Tensor, layers: int, rows=None) -> Tensor:
     """Mean of ``matrix^k @ x`` over k = 0..layers, as one tape node.
 
     This is LightGCN's layer aggregation. The gradient is the mean of
     ``(matrix^T)^k @ grad``; ``matrix`` must be symmetric, so the backward
     applies ``matrix`` itself layer by layer.
-    """
-    def power_mean(h):
-        acc = h.copy()
-        for _ in range(layers):
-            h = matrix @ h
-            acc += h
-        acc *= 1.0 / (layers + 1)
-        return acc
 
-    out = Tensor(power_mean(x.value), parents=(x,))
+    With ``rows``, a sorted array of unique node indices, the output holds
+    those rows only. The forward's last product is then ``matrix[rows] @
+    h``, and the backward's first is ``matrix[rows].T @ grad``, so neither
+    touches a row the output does not need. For a CSR ``matrix`` with sorted
+    indices, both equal the full op followed by ``gather_rows`` bit for bit:
+    each output row sums the same non-zero terms in the same order, and the
+    backward adds the gradient rows where the full op's zero-filled table
+    holds them, ``((g + h1) + h2) + h3``.
+    """
+    idx = slice(None) if rows is None else np.asarray(rows)
+    band = matrix if rows is None else matrix[idx]
+    h = x.value
+    acc = h.copy() if rows is None else h[idx]
+    for _ in range(layers - 1):
+        h = matrix @ h
+        acc += h[idx]
+    acc += band @ h
+    acc *= 1.0 / (layers + 1)
+    out = Tensor(acc, parents=(x,))
 
     def backward(grad):
-        if x.requires_grad:
-            x._accumulate(power_mean(grad))
+        if not x.requires_grad:
+            return
+        acc = band.T @ grad
+        # the next product needs the first one before the gradient rows join it
+        h = matrix @ acc if layers > 1 else None
+        acc[idx] += grad
+        for layer in range(1, layers):
+            acc += h
+            if layer < layers - 1:
+                h = matrix @ h
+        acc *= 1.0 / (layers + 1)
+        x._accumulate(acc)
 
     out._backward = backward
     return out
@@ -360,21 +381,3 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator, training: bool) -> Te
         return a
     mask = (rng.random(a.shape) >= p) / (1.0 - p)
     return mul(a, constant(mask))
-
-
-def l2_penalty(tensors: list, lam: float) -> Tensor:
-    """``lam`` times the sum of squared entries over ``tensors``."""
-    total = 0.0
-    for t in tensors:
-        flat = t.value.reshape(-1)
-        total += flat @ flat
-    out = Tensor(lam * total, parents=tuple(tensors))
-
-    def backward(grad):
-        scale = 2.0 * lam * float(grad)
-        for t in tensors:
-            if t.requires_grad:
-                t._accumulate(scale * t.value)
-
-    out._backward = backward
-    return out

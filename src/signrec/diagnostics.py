@@ -15,7 +15,7 @@ from .data import DatasetDescriptor, RatingRecord
 from .graph import build_signed_graph, partition
 from .model import AdjacencySet, ModelConfig, init_state
 from .rng import substream
-from .train import TrainConfig, batch_loss, sample_negatives
+from .train import TrainConfig, batch_loss, penalized_gradient, sample_negatives
 
 
 @dataclass
@@ -50,7 +50,9 @@ def gradient_max_relative_error(cfg: ModelConfig, seed: int = 7, h: float = 1e-4
     """Max relative error of analytic vs central-difference gradients.
 
     Differentiates the loss of one training step as ``train`` computes it
-    (``batch_loss``, restricted to the batch's rows), without dropout.
+    (``batch_loss``, restricted to the batch's rows), without dropout. The
+    analytic gradient is the tape's plus the L2 penalty's, added by
+    ``penalized_gradient`` as the optimizer adds it.
     ``perturb_gradients`` injects a deliberate analytic-gradient bug for
     exercising the failure path.
     """
@@ -72,8 +74,7 @@ def gradient_max_relative_error(cfg: ModelConfig, seed: int = 7, h: float = 1e-4
     worst = 0.0
     for name in state.names():
         param = state[name]
-        analytic = (param.grad if param.grad is not None
-                    else np.zeros_like(param.value)) + perturb_gradients
+        analytic = penalized_gradient(param.grad, param.value, lambda_reg) + perturb_gradients
         flat = param.value.reshape(-1)
         numeric = np.zeros_like(flat)
         for k in range(flat.size):

@@ -112,28 +112,32 @@ def init_state(cfg: ModelConfig, num_users: int, num_items: int,
 
 
 def propagate(adj: NormalizedAdjacency, state: ModelState, cfg: ModelConfig,
-              prefix: str = "gnn") -> Tensor:
-    """Run backbone propagation and layer aggregation over one adjacency."""
+              prefix: str = "gnn", rows=None) -> Tensor:
+    """Run backbone propagation and layer aggregation over one adjacency.
+
+    With ``rows``, an array of unique node indices, the output holds those
+    rows only. LightGCN then restricts its outermost products to them; the
+    other backbones propagate over the whole graph and gather the rows.
+    """
     if adj.variant != cfg.backbone:
         raise ValueError(f"adjacency variant {adj.variant!r} != backbone {cfg.backbone!r}")
     h = state[f"{prefix}.h0"]
     if cfg.backbone == "lightgcn":
-        return ad.spmm_power_mean(adj.matrix, h, cfg.gnn_layers)
+        return ad.spmm_power_mean(adj.matrix, h, cfg.gnn_layers, rows)
     layers = [h]
-    if cfg.backbone == "lrgccf":
-        for layer in range(cfg.gnn_layers):
-            h = ad.matmul(ad.spmm(adj.matrix, h), state[f"{prefix}.w{layer}"])
-            layers.append(h)
-        return ad.concat(layers, axis=1)
-    # ngcf: self transform plus normalized neighbor sum with an elementwise
-    # interaction term, under LeakyReLU.
     for layer in range(cfg.gnn_layers):
-        ah = ad.spmm(adj.matrix, h)
-        linear = ad.matmul(ad.add(h, ah), state[f"{prefix}.w1.{layer}"])
-        interact = ad.matmul(ad.mul(h, ah), state[f"{prefix}.w2.{layer}"])
-        h = ad.leaky_relu(ad.add(linear, interact), cfg.leaky_relu_alpha)
+        if cfg.backbone == "lrgccf":
+            h = ad.matmul(ad.spmm(adj.matrix, h), state[f"{prefix}.w{layer}"])
+        else:
+            # ngcf: self transform plus normalized neighbor sum with an
+            # elementwise interaction term, under LeakyReLU.
+            ah = ad.spmm(adj.matrix, h)
+            linear = ad.matmul(ad.add(h, ah), state[f"{prefix}.w1.{layer}"])
+            interact = ad.matmul(ad.mul(h, ah), state[f"{prefix}.w2.{layer}"])
+            h = ad.leaky_relu(ad.add(linear, interact), cfg.leaky_relu_alpha)
         layers.append(h)
-    return ad.concat(layers, axis=1)
+    z = ad.concat(layers, axis=1)
+    return z if rows is None else ad.gather_rows(z, rows)
 
 
 def mlp_forward(state: ModelState, cfg: ModelConfig, training: bool = False,
@@ -192,22 +196,19 @@ def forward_tensors(adjs: AdjacencySet, state: ModelState, cfg: ModelConfig,
     """Forward pass returning live tensors (for training graphs).
 
     Returns (Z, Z_p, Z_n, alpha_p, alpha_n); the last three are None for
-    variants that skip the negative path. With ``rows``, an array of unique
-    node indices, propagation still runs over the whole graph, but the MLP,
-    dropout and attention run on those rows only, and every returned tensor
-    holds one row per entry of ``rows``.
+    variants that skip the negative path. With ``rows``, a sorted array of
+    unique node indices, every returned tensor holds one row per entry of
+    ``rows``: propagation computes only those output rows (see
+    ``propagate``), and the MLP, dropout and attention run on them alone.
     """
-    def restrict(z: Tensor) -> Tensor:
-        return z if rows is None else ad.gather_rows(z, rows)
-
     if cfg.variant == "no-split":
-        z = restrict(propagate(adjs.full, state, cfg))
+        z = propagate(adjs.full, state, cfg, rows=rows)
         return z, z, None, None, None
-    z_p = restrict(propagate(adjs.positive, state, cfg))
+    z_p = propagate(adjs.positive, state, cfg, rows=rows)
     if cfg.variant == "no-gn":
         return z_p, z_p, None, None, None
     if cfg.variant == "gnn-gn":
-        z_n = restrict(propagate(adjs.negative, state, cfg, prefix="gnn_neg"))
+        z_n = propagate(adjs.negative, state, cfg, prefix="gnn_neg", rows=rows)
     else:
         z_n = mlp_forward(state, cfg, training, rng, rows)
     alpha_p, alpha_n, z = attention_fuse(z_p, z_n, state, cfg, training, rng)

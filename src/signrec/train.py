@@ -2,11 +2,14 @@
 epoch loop.
 
 Each epoch resamples unobserved items per observed edge from the
-degree-based noise distribution P(j) proportional to d_j^(3/4), shuffles the
-triples into mini-batches, and takes one Adam step per batch on the full
-loss (ranking term plus L2 penalty over every learnable parameter). A step
-propagates over the whole graph, then runs the MLP, attention and loss on
-the batch's rows only.
+degree-based noise distribution P(j) proportional to d_j^(3/4), through a
+sampler built once per run, shuffles the triples into mini-batches, and
+takes one Adam step per batch on the full loss: the ranking term plus the
+L2 penalty over every learnable parameter. The ranking term is on the
+autodiff tape. The penalty is not: its value is added to the loss, and its
+gradient by the optimizer step. A step computes only the batch's rows:
+LightGCN restricts its outermost propagation products to them, and the MLP,
+attention and loss run on them alone.
 """
 from __future__ import annotations
 
@@ -89,42 +92,88 @@ def _bit(keys: np.ndarray) -> np.ndarray:
     return np.left_shift(np.uint8(1), (keys & 7).astype(np.uint8))
 
 
-def sample_negatives(g: SignedBipartiteGraph, n_neg: int,
-                     rng: np.random.Generator) -> TrainingTriples:
+class NegativeSampler:
+    """A graph's sampling set-up, built once and drawn from every epoch.
+
+    It holds the noise distribution's cumulative sums and a bucket table
+    over them, a packed bitset of the observed (user, item) keys, and the
+    repeated user, item and sign columns of the edges it samples for. Users
+    adjacent to every samplable item are skipped with a warning, logged
+    here, once.
+    """
+
+    def __init__(self, g: SignedBipartiteGraph, n_neg: int):
+        probs = noise_distribution(g)
+        # normalised as Generator.choice normalises p, so draws match it
+        self.cdf = probs.cumsum()
+        self.cdf /= self.cdf[-1]
+        # A uniform draw u falls in bucket floor(u * K) of [0, 1); K is a
+        # power of two, so that product is exact. Inverse-cdf lookup has
+        # one answer per bucket unless a cdf value lies inside the bucket.
+        self.buckets = 1 << (8 * len(self.cdf) - 1).bit_length()
+        edges = np.arange(self.buckets + 1) / self.buckets
+        self.bucket_item = self.cdf.searchsorted(edges[:-1], side="right")
+        self.bucket_split = self.bucket_item != self.cdf.searchsorted(edges[1:], side="left")
+
+        # Distinct (user, item) keys, and one bit per key for membership
+        # tests. (A sort beats np.unique's hashing here.)
+        keys = np.sort(g.users * g.num_items + g.items)
+        edge_keys = keys[np.diff(keys, prepend=-1) != 0]
+        self.bits = np.zeros(-(-g.num_users * g.num_items // 8), dtype=np.uint8)
+        key_bytes = edge_keys >> 3
+        first = np.flatnonzero(np.diff(key_bytes, prepend=-1))
+        self.bits[key_bytes[first]] = np.bitwise_or.reduceat(_bit(edge_keys), first)
+
+        # Every neighbor has degree > 0, so a user whose neighbor count equals
+        # the number of samplable items has no candidate left.
+        user_degree = np.bincount(edge_keys // g.num_items, minlength=g.num_users)
+        saturated = user_degree == np.count_nonzero(probs > 0)
+        for u in np.flatnonzero(saturated):
+            log.warning("user %d is adjacent to all samplable items; skipping its edges", u)
+        keep = ~saturated[g.users]
+        self.users = np.repeat(g.users[keep], n_neg)
+        self.items = np.repeat(g.items[keep], n_neg)
+        self.signs = np.repeat(np.sign(g.weights[keep]).astype(np.int8), n_neg)
+        self.num_items = g.num_items
+
+    def items_at(self, u: np.ndarray) -> np.ndarray:
+        """``cdf.searchsorted(u, side="right")`` for ``u`` in [0, 1).
+
+        With ``u = rng.random(size)`` this is ``rng.choice(num_items, size,
+        p=P)``: the same items, and the same generator state afterwards.
+        """
+        bucket = (u * self.buckets).astype(np.intp)
+        items = self.bucket_item[bucket]
+        split = np.flatnonzero(self.bucket_split[bucket])
+        items[split] = self.cdf.searchsorted(u[split], side="right")
+        return items
+
+    def _is_edge(self, keys: np.ndarray) -> np.ndarray:
+        return (self.bits[keys >> 3] & _bit(keys)).astype(bool)
+
+    def draw(self, rng: np.random.Generator) -> TrainingTriples:
+        negatives = self.items_at(rng.random(len(self.users)))
+        pending = self._is_edge(self.users * self.num_items + negatives)
+        while pending.any():
+            idx = np.flatnonzero(pending)
+            negatives[idx] = self.items_at(rng.random(len(idx)))
+            pending[idx] = self._is_edge(self.users[idx] * self.num_items + negatives[idx])
+        return TrainingTriples(self.users, self.items, negatives, self.signs)
+
+
+def sample_negatives(g: SignedBipartiteGraph, n_neg: int, rng: np.random.Generator,
+                     sampler: NegativeSampler | None = None) -> TrainingTriples:
     """Draw ``n_neg`` unobserved items per edge by rejection sampling.
 
     Candidates are rejected while they fall inside the user's neighborhood;
     users adjacent to every samplable item are skipped with a warning.
+    ``sampler``, built once for ``g`` and ``n_neg``, saves redoing the
+    set-up on every call. The draws and the generator's state afterwards
+    equal those of ``rng.choice(num_items, size, p=P)`` calls.
     """
-    probs = noise_distribution(g)
-    # Distinct (user, item) keys, and one bit per key for membership tests.
-    edge_keys = np.unique(g.users * g.num_items + g.items)
-    bits = np.zeros(-(-g.num_users * g.num_items // 8), dtype=np.uint8)
-    key_bytes, first = np.unique(edge_keys >> 3, return_index=True)
-    bits[key_bytes] = np.bitwise_or.reduceat(_bit(edge_keys), first)
-
-    def is_edge(keys):
-        return (bits[keys >> 3] & _bit(keys)).astype(bool)
-
-    # Every neighbor has degree > 0, so a user whose neighbor count equals
-    # the number of samplable items has no candidate left.
-    user_degree = np.bincount(edge_keys // g.num_items, minlength=g.num_users)
-    saturated = user_degree == np.count_nonzero(probs > 0)
-    for u in np.flatnonzero(saturated):
-        log.warning("user %d is adjacent to all samplable items; skipping its edges", u)
-    keep = ~saturated[g.users]
-
-    users = np.repeat(g.users[keep], n_neg)
-    items = np.repeat(g.items[keep], n_neg)
-    signs = np.repeat(np.sign(g.weights[keep]).astype(np.int8), n_neg)
-
-    negatives = rng.choice(g.num_items, size=len(users), p=probs)
-    pending = is_edge(users * g.num_items + negatives)
-    while pending.any():
-        idx = np.flatnonzero(pending)
-        negatives[idx] = rng.choice(g.num_items, size=len(idx), p=probs)
-        pending[idx] = is_edge(users[idx] * g.num_items + negatives[idx])
-    return TrainingTriples(users, items, negatives, signs)
+    if sampler is None:
+        sampler = NegativeSampler(g, n_neg)
+    return sampler.draw(rng)
 
 
 def triple_loss_terms(z: Tensor, num_users: int, triples: TrainingTriples,
@@ -152,8 +201,37 @@ def sign_aware_bpr_loss(z: Tensor, num_users: int, triples: TrainingTriples,
     terms = triple_loss_terms(z, num_users, triples, c, loss)
     total = ad.reduce_sum(terms)
     if lambda_reg > 0:
-        total = ad.add(total, ad.l2_penalty(state.tensors(), lambda_reg))
+        total = ad.add(total, ad.constant(l2_penalty(state, lambda_reg)))
     return total, terms.value
+
+
+def l2_penalty(state: ModelState, lambda_reg: float) -> float:
+    """``lambda_reg`` times the sum of squared entries of every parameter.
+
+    Its gradient is not on the tape: ``penalized_gradient`` adds it.
+    """
+    total = 0.0
+    for t in state.tensors():
+        flat = t.value.reshape(-1)
+        total += flat @ flat
+    return lambda_reg * total
+
+
+def penalized_gradient(grad, value: np.ndarray, lambda_reg: float,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """A parameter's gradient of the full loss: ``grad + 2 lambda_reg value``.
+
+    ``grad`` is what the tape left (None where the loss does not reach the
+    parameter). The penalty's term is added last, as it would be by a tape
+    node that back-propagates after every other one. With ``out`` and a
+    penalty, the sum is written there.
+    """
+    if lambda_reg <= 0:
+        return grad if grad is not None else np.zeros_like(value)
+    out = np.multiply(value, 2.0 * lambda_reg, out=out)
+    if grad is not None:
+        out += grad
+    return out
 
 
 def batch_rows(batch: TrainingTriples, num_users: int):
@@ -164,8 +242,11 @@ def batch_rows(batch: TrainingTriples, num_users: int):
     """
     nodes = np.concatenate([batch.users, num_users + batch.items,
                             num_users + batch.negatives])
-    rows, local = np.unique(nodes, return_inverse=True)
-    users, items, negatives = np.split(local, 3)
+    # np.unique(nodes, return_inverse=True), without its sort
+    mark = np.zeros(int(nodes.max()) + 1 if len(nodes) else 0, dtype=bool)
+    mark[nodes] = True
+    rows = np.flatnonzero(mark)
+    users, items, negatives = np.split((np.cumsum(mark) - 1)[nodes], 3)
     return rows, TrainingTriples(users, items, negatives, batch.signs)
 
 
@@ -183,43 +264,74 @@ def batch_loss(adjs: AdjacencySet, state: ModelState, cfg: ModelConfig,
     return sign_aware_bpr_loss(z, 0, local, tcfg.c, tcfg.lambda_reg, state, tcfg.loss)
 
 
-class Adam:
-    """Standard Adam with bias correction; fails fast on non-finite grads."""
+ADAM_BLOCK_BYTES = 256 * 1024  # per array; a block and its scratch stay in cache
 
-    def __init__(self, state: ModelState, lr: float,
+
+class Adam:
+    """Standard Adam with bias correction; fails fast on non-finite grads.
+
+    The gradient is the tape's plus the L2 penalty's (``penalized_gradient``
+    with ``lambda_reg``). Each parameter is updated in blocks of rows of
+    about ``ADAM_BLOCK_BYTES``, through scratch buffers allocated once, so
+    that the update's dozen elementwise passes run in cache. A non-finite
+    gradient raises ``TrainingDiverged``; blocks and parameters before it
+    are then already updated.
+    """
+
+    def __init__(self, state: ModelState, lr: float, lambda_reg: float = 0.0,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.state = state
         self.lr = lr
+        self.lambda_reg = lambda_reg
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         self.m = {n: np.zeros_like(state[n].value) for n in state.names()}
         self.v = {n: np.zeros_like(state[n].value) for n in state.names()}
+        self.block_rows, size = {}, 1
+        for name in state.names():
+            rows, row_size = self._as_rows(state[name].value).shape
+            self.block_rows[name] = max(1, ADAM_BLOCK_BYTES // (8 * row_size))
+            size = max(size, min(rows, self.block_rows[name]) * row_size)
+        self._scratch = [np.empty(size) for _ in range(2)]
+
+    @staticmethod
+    def _as_rows(a: np.ndarray) -> np.ndarray:
+        return a.reshape(len(a), -1)
 
     def step(self) -> None:
         self.step_count += 1
         t = self.step_count
+        b1, b2 = self.beta1, self.beta2
         for name in self.state.names():
             p = self.state[name]
-            grad = p.grad if p.grad is not None else np.zeros_like(p.value)
-            if not np.isfinite(grad).all():
-                raise TrainingDiverged(f"non-finite gradient in {name}")
-            # in place, in the same operation order as
-            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2;
-            # p -= lr m_hat / (sqrt(v_hat) + eps)
-            m, v = self.m[name], self.v[name]
-            m *= self.beta1
-            m += (1 - self.beta1) * grad
-            v *= self.beta2
-            sq = grad * grad
-            sq *= 1 - self.beta2
-            v += sq
-            step = m / (1 - self.beta1 ** t)
-            step *= self.lr
-            denom = v / (1 - self.beta2 ** t)
-            np.sqrt(denom, out=denom)
-            denom += self.eps
-            step /= denom
-            p.value -= step
+            value, m, v = (self._as_rows(a) for a in (p.value, self.m[name], self.v[name]))
+            grad = None if p.grad is None else self._as_rows(p.grad)
+            block = self.block_rows[name]
+            for lo in range(0, len(value), block):
+                rows = slice(lo, lo + block)
+                pb, mb, vb = value[rows], m[rows], v[rows]
+                # g is written to the step's buffer, which it leaves free in time
+                step, tmp = (buf[:pb.size].reshape(pb.shape) for buf in self._scratch)
+                g = penalized_gradient(None if grad is None else grad[rows], pb,
+                                       self.lambda_reg, out=step)
+                if not np.isfinite(g).all():
+                    raise TrainingDiverged(f"non-finite gradient in {name}")
+                # in place, in the same operation order as
+                # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2;
+                # p -= lr m_hat / (sqrt(v_hat) + eps)
+                mb *= b1
+                mb += np.multiply(g, 1 - b1, out=tmp)
+                vb *= b2
+                np.multiply(g, g, out=tmp)
+                tmp *= 1 - b2
+                vb += tmp
+                np.divide(mb, 1 - b1 ** t, out=step)
+                step *= self.lr
+                denom = np.divide(vb, 1 - b2 ** t, out=tmp)
+                np.sqrt(denom, out=denom)
+                denom += self.eps
+                step /= denom
+                pb -= step
 
 
 @dataclass
@@ -246,13 +358,14 @@ def train(g: SignedBipartiteGraph, cfg: ModelConfig, tcfg: TrainConfig,
     parts = partition(g)
     adjs = AdjacencySet.build(parts, cfg)
     state = init_state(cfg, g.num_users, g.num_items, substream(tcfg.seed, "init"))
-    optimizer = Adam(state, tcfg.learning_rate)
+    optimizer = Adam(state, tcfg.learning_rate, tcfg.lambda_reg)
+    sampler = NegativeSampler(g, tcfg.n_neg)
 
     history = []
     for epoch in range(tcfg.epochs):
         start = time.perf_counter()
         sample_rng = substream(tcfg.seed, "sampling", epoch)
-        triples = sample_negatives(g, tcfg.n_neg, sample_rng)
+        triples = sample_negatives(g, tcfg.n_neg, sample_rng, sampler)
         order = sample_rng.permutation(len(triples))
         dropout_rng = substream(tcfg.seed, "dropout", epoch)
 

@@ -13,7 +13,8 @@ import numpy as np
 from signrec import autodiff as ad
 from signrec.autodiff import Tensor
 from signrec.data import DatasetDescriptor, RatingRecord
-from signrec.train import TrainingTriples, noise_distribution
+from signrec.model import forward_tensors
+from signrec.train import TrainingDiverged, TrainingTriples, noise_distribution, triple_loss_terms
 
 
 def toy_descriptor(num_users, num_items):
@@ -160,6 +161,102 @@ def reference_triple_loss_terms(z, num_users, triples, c, loss):
         coef = np.where(triples.signs < 0, c, 1.0)
     margin = ad.sub(ad.mul(r_ui, ad.constant(coef)), r_uj)
     return _softplus(ad.mul(margin, -1.0))
+
+
+# ---------------------------------------------------------------------------
+# training-step reference: full-table propagation, the penalty on the tape,
+# unblocked Adam
+
+def reference_spmm_power_mean(matrix, x, layers, rows=None):
+    """LightGCN's layer mean over every node, then ``gather_rows`` of ``rows``.
+
+    The whole-graph op computes ``mean_k matrix^k @ x`` and back-propagates
+    ``mean_k matrix^k @ grad`` from a zero-filled table; the row-restricted
+    op must equal this bit for bit.
+    """
+    def power_mean(h):
+        acc = h.copy()
+        for _ in range(layers):
+            h = matrix @ h
+            acc += h
+        acc *= 1.0 / (layers + 1)
+        return acc
+
+    out = Tensor(power_mean(x.value), parents=(x,))
+    out._backward = lambda grad: x._accumulate(power_mean(grad))
+    return out if rows is None else ad.gather_rows(out, rows)
+
+
+def reference_l2_penalty(tensors, lam):
+    """Tape node for ``lam`` times the sum of squares over ``tensors``."""
+    total = 0.0
+    for t in tensors:
+        flat = t.value.reshape(-1)
+        total += flat @ flat
+    out = Tensor(lam * total, parents=tuple(tensors))
+
+    def backward(grad):
+        scale = 2.0 * lam * float(grad)
+        for t in tensors:
+            if t.requires_grad:
+                t._accumulate(scale * t.value)
+
+    out._backward = backward
+    return out
+
+
+def reference_batch_loss(adjs, state, cfg, tcfg, num_users, batch, rng):
+    """One step's loss with ``np.unique`` rows, whole-graph LightGCN
+    propagation and the penalty as a tape node."""
+    nodes = np.concatenate([batch.users, num_users + batch.items,
+                            num_users + batch.negatives])
+    rows, local = np.unique(nodes, return_inverse=True)
+    users, items, negatives = np.split(local, 3)
+    original, ad.spmm_power_mean = ad.spmm_power_mean, reference_spmm_power_mean
+    try:
+        z, *_ = forward_tensors(adjs, state, cfg, training=True, rng=rng, rows=rows)
+    finally:
+        ad.spmm_power_mean = original
+    terms = triple_loss_terms(z, 0, TrainingTriples(users, items, negatives, batch.signs),
+                              tcfg.c, tcfg.loss)
+    total = ad.reduce_sum(terms)
+    if tcfg.lambda_reg > 0:
+        total = ad.add(total, reference_l2_penalty(state.tensors(), tcfg.lambda_reg))
+    return total
+
+
+class ReferenceAdam:
+    """Adam over whole tables, the gradient taken from the tape as it is."""
+
+    def __init__(self, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.state, self.lr = state, lr
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.step_count = 0
+        self.m = {n: np.zeros_like(state[n].value) for n in state.names()}
+        self.v = {n: np.zeros_like(state[n].value) for n in state.names()}
+
+    def step(self):
+        self.step_count += 1
+        t = self.step_count
+        for name in self.state.names():
+            p = self.state[name]
+            grad = p.grad if p.grad is not None else np.zeros_like(p.value)
+            if not np.isfinite(grad).all():
+                raise TrainingDiverged(f"non-finite gradient in {name}")
+            m, v = self.m[name], self.v[name]
+            m *= self.beta1
+            m += (1 - self.beta1) * grad
+            v *= self.beta2
+            sq = grad * grad
+            sq *= 1 - self.beta2
+            v += sq
+            step = m / (1 - self.beta1 ** t)
+            step *= self.lr
+            denom = v / (1 - self.beta2 ** t)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            step /= denom
+            p.value -= step
 
 
 # ---------------------------------------------------------------------------

@@ -123,11 +123,33 @@ def test_spmm_power_mean():
     check_op(lambda: ad.reduce_sum(ad.mul(ad.spmm_power_mean(mat, x, 3), x)), [x])
 
 
-def test_l2_penalty():
-    xs = [_param(rng, 2, 2), _param(rng, 3, 1)]
-    out = ad.l2_penalty(xs, 0.3)
-    assert float(out.value) == pytest.approx(0.3 * sum((x.value ** 2).sum() for x in xs))
-    check_op(lambda: ad.l2_penalty(xs, 0.3), xs)
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_spmm_power_mean_rows_match_full_then_gather(layers):
+    """Value and gradient equal the whole-graph op (plus gather_rows), bytewise."""
+    from helpers import reference_spmm_power_mean
+
+    local = np.random.default_rng(layers)
+    n = 40
+    upper = sp.triu(sp.random(n, n, density=0.12, random_state=layers), k=1)
+    keep = sp.diags((np.arange(n) % 9 != 4).astype(float))  # isolates 4, 13, 22, 31
+    sym = (keep @ (upper + upper.T) @ keep).tocsr()
+    sym.eliminate_zeros()
+    sym.sort_indices()
+    isolated = np.flatnonzero(np.diff(sym.indptr) == 0)
+    assert {4, 13, 22, 31} <= set(isolated.tolist())
+    row_sets = [None, np.arange(n), np.array([7]), np.array([isolated[0]]),
+                np.union1d(isolated, [0, 5, 21]),
+                np.flatnonzero(local.random(n) < 0.4)]
+    value = local.standard_normal((n, 5))
+    for rows in row_sets:
+        weights = local.standard_normal((n if rows is None else len(rows), 5))
+        outs = []
+        for op in (ad.spmm_power_mean, reference_spmm_power_mean):
+            x = Tensor(value.copy(), requires_grad=True)
+            out = op(sym, x, layers, rows)
+            ad.reduce_sum(ad.mul(out, ad.constant(weights))).backward()
+            outs.append((out.value.tobytes(), x.grad.tobytes()))
+        assert outs[0] == outs[1], rows
 
 
 def test_gather_unique_rows_assigns():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from signrec import autodiff as ad
+from signrec import train as train_mod
 from signrec.autodiff import Tensor
 from signrec.data import RatingRecord
 from signrec.graph import (
@@ -11,13 +12,16 @@ from signrec.graph import (
 )
 from signrec.model import AdjacencySet, ModelConfig, ModelState, forward_tensors, init_state
 from signrec.rng import substream
+from signrec.diagnostics import check_gradients
 from signrec.train import (
-    LOSSES, Adam, TrainConfig, TrainingDiverged, TrainingTriples, batch_loss, batch_rows,
-    noise_distribution, sample_negatives, sign_aware_bpr_loss, train, triple_loss_terms,
+    LOSSES, Adam, NegativeSampler, TrainConfig, TrainingDiverged, TrainingTriples, batch_loss,
+    batch_rows, l2_penalty, noise_distribution, penalized_gradient, sample_negatives,
+    sign_aware_bpr_loss, train, triple_loss_terms,
 )
 
 from helpers import (
-    random_records, reference_sample_negatives, reference_triple_loss_terms, toy_descriptor,
+    ReferenceAdam, random_records, reference_batch_loss, reference_sample_negatives,
+    reference_triple_loss_terms, toy_descriptor,
 )
 
 
@@ -121,14 +125,80 @@ def test_sampler_matches_reference_on_fuzzed_graphs():
         degree = np.bincount(g.users, minlength=num_users)
         saturated_cases += bool((degree == len(rated)).any())
         n_neg = int(rng.integers(1, 6))
-        rng_a, rng_b = substream(case, "s"), substream(case, "s")
-        got = sample_negatives(g, n_neg, rng_a)
-        want = reference_sample_negatives(g, n_neg, rng_b)
-        for field in ("users", "items", "negatives", "signs"):
-            assert np.array_equal(getattr(got, field), getattr(want, field)), (case, field)
-            assert getattr(got, field).dtype == getattr(want, field).dtype
-        assert rng_a.random() == rng_b.random(), f"case {case}: draw counts differ"
+        # one sampler serves several epochs, as in train()
+        sampler = NegativeSampler(g, n_neg)
+        for epoch in range(3):
+            rng_a, rng_b = substream(case, "s", epoch), substream(case, "s", epoch)
+            got = sample_negatives(g, n_neg, rng_a, sampler)
+            want = reference_sample_negatives(g, n_neg, rng_b)
+            for field in ("users", "items", "negatives", "signs"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), \
+                    (case, epoch, field)
+                assert getattr(got, field).dtype == getattr(want, field).dtype
+            assert rng_a.random() == rng_b.random(), f"case {case}: draw counts differ"
     assert saturated_cases > 50
+
+
+def test_bucketed_inverse_cdf_equals_searchsorted():
+    rng = np.random.default_rng(29)
+    degree_sets = [[1], [0, 3, 0, 0, 5], [0] * 7 + [2], list(range(40)),
+                   rng.integers(0, 4, 300).tolist()]
+    for degrees in degree_sets:
+        degrees = np.asarray(degrees)
+        num_items = len(degrees)
+        items = np.repeat(np.arange(num_items), degrees)
+        g = SignedBipartiteGraph(len(items), num_items, np.arange(len(items)), items,
+                                 np.ones(len(items)), 3.5)
+        sampler = NegativeSampler(g, 1)
+        cdf, k = sampler.cdf, sampler.buckets
+        edges = np.arange(k) / k
+        # bucket edges, cdf values and their neighbours, and uniform draws
+        u = np.concatenate([edges, np.nextafter(edges[1:], 0), cdf[cdf < 1],
+                            np.nextafter(cdf, 0), np.nextafter(cdf[cdf < 1], 1),
+                            rng.random(5000)])
+        u = u[(u >= 0) & (u < 1)]
+        got = sampler.items_at(u)
+        want = cdf.searchsorted(u, side="right")
+        assert got.dtype == want.dtype and np.array_equal(got, want), degrees.tolist()
+        assert (degrees[got] > 0).all()
+
+
+def test_saturation_warning_logged_once_per_run(caplog):
+    records = [RatingRecord("u0", f"i{v}", 5.0) for v in range(3)] \
+        + [RatingRecord("u1", "i0", 4.0), RatingRecord("u1", "i1", 1.0)]
+    g = build_signed_graph(records, toy_descriptor(2, 4), 3.5)
+    cfg = ModelConfig(variant="no-gn", dim=2, gnn_layers=1)
+    tcfg = TrainConfig(n_neg=2, epochs=3, batch_size=4)
+    with caplog.at_level("WARNING"):
+        train(g, cfg, tcfg)
+    assert sum("adjacent to all" in rec.message for rec in caplog.records) == 1
+
+
+def test_batch_rows_matches_unique():
+    rng = np.random.default_rng(23)
+    num_users, num_items = 7, 9
+    everything = TrainingTriples(np.arange(9) % num_users, np.arange(9), np.arange(9)[::-1],
+                                 np.ones(9, dtype=np.int8))
+    no_repeats = TrainingTriples(np.array([0, 1]), np.array([0, 1]), np.array([2, 3]),
+                                 np.ones(2, dtype=np.int8))
+    batches = [everything, no_repeats]
+    for _ in range(50):
+        size = int(rng.integers(1, 40))
+        batches.append(TrainingTriples(rng.integers(0, num_users, size),
+                                       rng.integers(0, num_items, size),
+                                       rng.integers(0, num_items, size),
+                                       rng.choice([-1, 1], size).astype(np.int8)))
+    for batch in batches:
+        nodes = np.concatenate([batch.users, num_users + batch.items,
+                                num_users + batch.negatives])
+        want_rows, want_local = np.unique(nodes, return_inverse=True)
+        rows, local = batch_rows(batch, num_users)
+        assert rows.dtype == want_rows.dtype and rows.tobytes() == want_rows.tobytes()
+        got_local = np.concatenate([local.users, local.items, local.negatives])
+        assert got_local.dtype == want_local.dtype
+        assert got_local.tobytes() == want_local.tobytes()
+        assert local.signs is batch.signs
+    assert len(batch_rows(everything, num_users)[0]) == num_users + num_items
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +266,45 @@ def test_loss_positive_and_regularization_term():
     loss, _ = sign_aware_bpr_loss(z, 1, single_triple(+1), 2.0, 0.1, state)
     assert loss.value == pytest.approx(math.log(2) + 0.1 * 5.0)
     loss.backward()
-    assert np.allclose(theta.grad, 2 * 0.1 * theta.value)  # d/dtheta of lambda theta^2
+    # the penalty is off the tape; its gradient joins in penalized_gradient
+    assert theta.grad is None
+    full = penalized_gradient(theta.grad, theta.value, 0.1)
+    assert np.allclose(full, 2 * 0.1 * theta.value)  # d/dtheta of lambda theta^2
+
+
+def test_l2_penalty_value_and_gradient():
+    rng = np.random.default_rng(5)
+    state = ModelState({"a": Tensor(rng.standard_normal((2, 2)), requires_grad=True),
+                        "b": Tensor(rng.standard_normal((3, 1)), requires_grad=True)})
+    want = 0.3 * sum((t.value ** 2).sum() for t in state.tensors())
+    assert l2_penalty(state, 0.3) == pytest.approx(want, rel=1e-12)
+    h = 1e-6
+    for t in state.tensors():
+        tape = rng.standard_normal(t.shape)
+        flat = t.value.reshape(-1)
+        numeric = np.zeros_like(flat)
+        for k in range(flat.size):
+            orig = flat[k]
+            flat[k] = orig + h
+            up = l2_penalty(state, 0.3)
+            flat[k] = orig - h
+            down = l2_penalty(state, 0.3)
+            flat[k] = orig
+            numeric[k] = (up - down) / (2 * h)
+        got = penalized_gradient(tape, t.value, 0.3)
+        assert np.allclose(got - tape, numeric.reshape(t.shape), rtol=1e-6, atol=1e-8)
+        assert penalized_gradient(tape, t.value, 0.0) is tape
+        assert np.array_equal(penalized_gradient(None, t.value, 0.0), np.zeros(t.shape))
+
+
+def test_check_gradients_catches_a_dropped_penalty_gradient(monkeypatch):
+    def dropped(grad, value, lambda_reg, out=None):
+        return grad if grad is not None else np.zeros_like(value)
+
+    assert check_gradients().passed
+    # swap the function's code, so every caller sees the mutation
+    monkeypatch.setattr(penalized_gradient, "__code__", dropped.__code__)
+    assert not check_gradients().passed
 
 
 def test_empty_batch_rejected():
@@ -298,7 +406,8 @@ def test_row_restricted_step_matches_full_graph_step(backbone):
                                               tcfg.lambda_reg, state, tcfg.loss)
                 state.zero_grad()
                 full.backward()
-                want = {n: state[n].grad for n in state.names()}
+                want = {n: penalized_gradient(state[n].grad, state[n].value, tcfg.lambda_reg)
+                        for n in state.names()}
 
                 restricted, _ = batch_loss(adjs, state, cfg, tcfg, g.num_users, batch,
                                            training=True, rng=substream(3, "dropout"))
@@ -308,7 +417,8 @@ def test_row_restricted_step_matches_full_graph_step(backbone):
                 assert abs(float(restricted.value) - float(full.value)) \
                     <= 1e-10 * abs(float(full.value)), case
                 for name in state.names():
-                    got = state[name].grad
+                    got = penalized_gradient(state[name].grad, state[name].value,
+                                             tcfg.lambda_reg)
                     scale = np.abs(want[name]).max()
                     assert scale > 0, (case, name)
                     assert np.abs(got - want[name]).max() <= 1e-10 * scale, (case, name)
@@ -370,6 +480,86 @@ def test_adam_rejects_non_finite_gradient():
     p.grad = np.array([np.nan])
     with pytest.raises(TrainingDiverged):
         opt.step()
+
+
+@pytest.mark.parametrize("rows", [5, 512, 1024, 1300])
+@pytest.mark.parametrize("lam", [0.0, 0.05])
+def test_blocked_adam_matches_out_of_place_update_bitwise(rows, lam):
+    """Tables below, at, twice and not a multiple of a 64-wide block (512 rows)."""
+    assert train_mod.ADAM_BLOCK_BYTES // (8 * 64) == 512
+    rng = np.random.default_rng(rows)
+    p = Tensor(rng.standard_normal((rows, 64)), requires_grad=True)
+    bias = Tensor(rng.standard_normal((1, 64)), requires_grad=True)
+    opt = Adam(ModelState({"p": p, "bias": bias}), lr=0.01, lambda_reg=lam)
+    ref, m, v = p.value.copy(), np.zeros((rows, 64)), np.zeros((rows, 64))
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    for t in range(1, 4):
+        tape = rng.standard_normal((rows, 64))
+        p.grad = tape.copy()
+        bias.grad = None
+        opt.step()
+        grad = tape + 2.0 * lam * ref if lam else tape
+        m = b1 * m + (1 - b1) * grad
+        v = b2 * v + (1 - b2) * grad ** 2
+        ref -= 0.01 * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
+        assert p.value.tobytes() == ref.tobytes(), t
+        assert np.array_equal(p.grad, tape)  # the tape's gradient is left as it was
+
+
+def test_blocked_adam_raises_on_nan_in_last_block():
+    p = Tensor(np.ones((1300, 64)), requires_grad=True)
+    q = Tensor(np.ones((3, 2)), requires_grad=True)
+    opt = Adam(ModelState({"gnn.h0": p, "attn.q": q}), lr=0.1, lambda_reg=0.01)
+    p.grad = np.zeros((1300, 64))
+    p.grad[-1, -1] = np.nan
+    q.grad = np.zeros((3, 2))
+    with pytest.raises(TrainingDiverged, match="gnn.h0"):
+        opt.step()
+
+
+@pytest.mark.parametrize("backbone", ["lightgcn", "lrgccf", "ngcf"])
+@pytest.mark.parametrize("block_bytes", [None, 8 * 4 * 3])
+def test_training_steps_match_reference_bitwise(backbone, block_bytes, monkeypatch):
+    """Steps with restricted propagation, the penalty gradient in Adam and
+    blocked Adam equal the whole-table steps with the penalty on the tape."""
+    if block_bytes is not None:
+        monkeypatch.setattr(train_mod, "ADAM_BLOCK_BYTES", block_bytes)  # 3-row blocks
+    base = small_graph(np.random.default_rng(8), num_users=10, num_items=12, count=60)
+    for variant in ("mlp-gn", "gnn-gn", "no-gn", "no-split"):
+        for loss_name, positive_only, lam in (("sign-aware-bpr", False, 0.05),
+                                              ("standard-bpr", True, 0.05),
+                                              ("sign-aware-bpr", False, 0.0)):
+            g = positive_subgraph(base) if positive_only else base
+            cfg = ModelConfig(backbone=backbone, variant=variant, dim=4, gnn_layers=3,
+                              attn_dim=3, dropout_p=0.3)
+            tcfg = TrainConfig(c=2.5, lambda_reg=lam, loss=loss_name, learning_rate=0.05,
+                               positive_edges_only=positive_only)
+            adjs = AdjacencySet.build(partition(g), cfg)
+            runs = []
+            for reference in (False, True):
+                state = init_state(cfg, g.num_users, g.num_items, substream(3, "init"))
+                opt = (ReferenceAdam(state, tcfg.learning_rate) if reference
+                       else Adam(state, tcfg.learning_rate, tcfg.lambda_reg))
+                dropout_rng = substream(3, "dropout")
+                triples = sample_negatives(g, 2, substream(3, "s"))
+                losses = []
+                for lo in range(0, len(triples), 16):
+                    batch = triples.take(np.arange(lo, min(lo + 16, len(triples))))
+                    if reference:
+                        loss = reference_batch_loss(adjs, state, cfg, tcfg, g.num_users,
+                                                    batch, dropout_rng)
+                    else:
+                        loss, _ = batch_loss(adjs, state, cfg, tcfg, g.num_users, batch,
+                                             training=True, rng=dropout_rng)
+                    state.zero_grad()
+                    loss.backward()
+                    opt.step()
+                    losses.append(float(loss.value))
+                runs.append((losses, {n: state[n].value.tobytes() for n in state.names()}))
+            case = (variant, loss_name, positive_only, lam)
+            assert len(runs[0][0]) >= 3, case
+            assert runs[0][0] == runs[1][0], case
+            assert runs[0][1] == runs[1][1], case
 
 
 # ---------------------------------------------------------------------------
