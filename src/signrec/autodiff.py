@@ -26,17 +26,15 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward", "name",
-                 "_owns_grad")
+    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward", "_owns_grad")
 
-    def __init__(self, value, requires_grad=False, parents=(), backward=None, name=None):
+    def __init__(self, value, requires_grad=False, parents=(), backward=None):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
         self._owns_grad = False
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self._parents = parents
         self._backward = backward
-        self.name = name
 
     @property
     def shape(self):
@@ -77,21 +75,6 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
 
 def constant(value) -> Tensor:

@@ -14,6 +14,12 @@ import os
 import sys
 from dataclasses import dataclass, asdict, field
 
+# One BLAS thread unless the user set the variable: bitwise reproducibility
+# assumes it, and small BLAS calls lose to thread hand-offs. It must be set
+# before numpy is first imported, so it holds where threadpoolctl is missing.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 
 from . import data as data_mod
@@ -119,12 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Keys a --config file may set: the names of the flags it stands in for.
-CONFIG_KEYS = frozenset({
-    "dataset", "format", "w_o", "min_interactions", "folds", "seed", "threads", "out", "k",
-    "backbone", "variant", "loss", "positive_only", "layers", "dim", "n_neg", "c",
-    "lambda_reg", "lr", "batch_size", "epochs",
-})
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
@@ -132,61 +132,66 @@ def _int_list(raw: str) -> list:
     return [int(v) for v in raw.split(",")]
 
 
+# The fields of each config object that flags set: field -> (flag name, parser
+# of a config-file value). A field that no flag or config-file key sets keeps
+# its dataclass default.
+_EXPERIMENT_FLAGS = {
+    "dataset": ("dataset", str), "format": ("format", str), "w_o": ("w_o", float),
+    "min_interactions": ("min_interactions", int), "k_folds": ("folds", int),
+    "seed": ("seed", int), "threads": ("threads", int), "out": ("out", str),
+    "ks": ("k", _int_list),
+}
+_MODEL_FLAGS = {
+    "backbone": ("backbone", str), "variant": ("variant", str), "dim": ("dim", int),
+    "gnn_layers": ("layers", int),
+}
+_TRAINING_FLAGS = {
+    "n_neg": ("n_neg", int), "c": ("c", float), "lambda_reg": ("lambda_reg", float),
+    "learning_rate": ("lr", float), "batch_size": ("batch_size", int),
+    "epochs": ("epochs", int), "loss": ("loss", str),
+    "positive_edges_only": ("positive_only", bool),
+}
+# Keys a --config file may set: the names of the flags it stands in for.
+CONFIG_KEYS = frozenset(name for flags in (_EXPERIMENT_FLAGS, _MODEL_FLAGS, _TRAINING_FLAGS)
+                        for name, _ in flags.values())
+
+
 def _merge_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig()
     file_values = read_config_file(args.config) if getattr(args, "config", None) else {}
     unknown = sorted(set(file_values) - CONFIG_KEYS)
     if unknown:
         raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
 
-    def pick(name, cast, default):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        if name not in file_values:
-            return default
-        raw = file_values[name]
-        try:
-            return _BOOLEANS[raw.lower()] if cast is bool else cast(raw)
-        except (KeyError, ValueError):
-            raise UsageError(f"config key {name}: bad value {raw!r}") from None
+    def given(flags) -> dict:
+        """The fields in ``flags`` that a flag or the config file sets."""
+        values = {}
+        for field_name, (name, cast) in flags.items():
+            flag = getattr(args, name, None)
+            if flag is not None:
+                values[field_name] = flag
+            elif name in file_values:
+                raw = file_values[name]
+                try:
+                    values[field_name] = _BOOLEANS[raw.lower()] if cast is bool else cast(raw)
+                except (KeyError, ValueError):
+                    raise UsageError(f"config key {name}: bad value {raw!r}") from None
+        return values
 
-    cfg.dataset = pick("dataset", str, cfg.dataset)
-    cfg.format = pick("format", str, cfg.format)
-    cfg.w_o = pick("w_o", float, cfg.w_o)
-    cfg.min_interactions = pick("min_interactions", int, cfg.min_interactions)
-    cfg.k_folds = pick("folds", int, cfg.k_folds)
-    cfg.seed = pick("seed", int, cfg.seed)
-    cfg.threads = pick("threads", int, cfg.threads)
-    cfg.out = pick("out", str, cfg.out)
-    cfg.ks = tuple(sorted(pick("k", _int_list, cfg.ks)))
+    cfg = ExperimentConfig(**given(_EXPERIMENT_FLAGS))
+    cfg.ks = tuple(sorted(cfg.ks))
     if cfg.ks[0] < 1:
         raise UsageError("--k must be >= 1")
-    # ratings lie on the 1-5 scale; a threshold at or beyond its ends makes
-    # every training edge one sign
-    if not 1.0 < cfg.w_o < 5.0:
+    # a threshold at or beyond the rating scale's ends makes every training
+    # edge one sign
+    lo, hi = data_mod.RATING_SCALE
+    if not lo < cfg.w_o < hi:
         raise UsageError("--w-o must lie strictly between 1 and 5")
     if getattr(args, "checkpoint_every", 0) < 0:
         raise UsageError("--checkpoint-every must be >= 0")
 
     try:
-        cfg.model = ModelConfig(
-            backbone=pick("backbone", str, "lightgcn"),
-            variant=pick("variant", str, "mlp-gn"),
-            dim=pick("dim", int, 64),
-            gnn_layers=pick("layers", int, 3),
-        )
-        cfg.training = TrainConfig(
-            n_neg=pick("n_neg", int, 40),
-            c=pick("c", float, 2.0),
-            lambda_reg=pick("lambda_reg", float, 0.1),
-            learning_rate=pick("lr", float, 0.005),
-            batch_size=pick("batch_size", int, 1024),
-            epochs=pick("epochs", int, 200),
-            seed=cfg.seed,
-            loss=pick("loss", str, "sign-aware-bpr"),
-            positive_edges_only=pick("positive_only", bool, False),
-        )
+        cfg.model = ModelConfig(**given(_MODEL_FLAGS))
+        cfg.training = TrainConfig(seed=cfg.seed, **given(_TRAINING_FLAGS))
     except ValueError as exc:  # a config object's check, or a bad config-file value
         raise UsageError(str(exc)) from None
     return cfg
@@ -253,13 +258,11 @@ def cmd_train(args, cfg: ExperimentConfig) -> int:
 
     def on_epoch(entry, state):
         if checkpoint_every and (entry.epoch + 1) % checkpoint_every == 0:
-            save_checkpoint(os.path.join(run_dir, "checkpoints", f"epoch{entry.epoch}.bin"),
-                            state, cfg.model, descriptor.num_users, descriptor.num_items)
+            save_checkpoint(os.path.join(run_dir, "checkpoints", f"epoch{entry.epoch}.npz"), state)
 
     result = train(g, cfg.model, cfg.training, epoch_callback=on_epoch)
 
-    save_checkpoint(os.path.join(run_dir, "checkpoints", "final.bin"),
-                    result.state, cfg.model, descriptor.num_users, descriptor.num_items)
+    save_checkpoint(os.path.join(run_dir, "checkpoints", "final.npz"), result.state)
     np.save(os.path.join(run_dir, "embeddings.npy"), result.embeddings)
     with open(os.path.join(run_dir, "logs", "epochs.csv"), "w", newline="",
               encoding="utf-8") as fh:

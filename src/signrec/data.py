@@ -1,7 +1,6 @@
 """Rating file parsing, interaction-count filtering, and k-fold splitting."""
 from __future__ import annotations
 
-import io
 import os
 from collections import Counter
 from dataclasses import dataclass, field
@@ -9,6 +8,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rng import substream
+
+
+# Every rating lies on this closed scale.
+RATING_SCALE = (1.0, 5.0)
 
 
 class ParseError(ValueError):
@@ -37,7 +40,6 @@ class DatasetDescriptor:
 
     num_users: int
     num_items: int
-    rating_scale: tuple
     user_index: dict = field(repr=False)
     item_index: dict = field(repr=False)
 
@@ -62,7 +64,7 @@ def _format_rating(rating: float) -> str:
     return str(int(rating)) if float(rating).is_integer() else repr(rating)
 
 
-def parse_ratings(source, format: str = "tsv", rating_scale=(1.0, 5.0)) -> list:
+def parse_ratings(source, format: str = "tsv") -> list:
     """Parse a rating file into records, one per non-empty line.
 
     ``source`` may be a path, a text file object, or bytes. Lines starting
@@ -80,7 +82,7 @@ def parse_ratings(source, format: str = "tsv", rating_scale=(1.0, 5.0)) -> list:
     else:
         lines = source.readlines()
 
-    lo, hi = rating_scale
+    lo, hi = RATING_SCALE
     records = []
     for line_no, line in enumerate(lines, start=1):
         line = line.rstrip("\r\n")
@@ -105,16 +107,6 @@ def parse_ratings(source, format: str = "tsv", rating_scale=(1.0, 5.0)) -> list:
     return records
 
 
-def serialize_ratings(records, stream=None, format: str = "tsv") -> str:
-    """Inverse of :func:`parse_ratings` for well-formed input."""
-    sep = _SEPARATORS[format]
-    out = io.StringIO() if stream is None else stream
-    for r in records:
-        out.write(sep.join([r.user_id, r.item_id, _format_rating(r.rating), str(r.timestamp)]))
-        out.write("\n")
-    return out.getvalue() if stream is None else None
-
-
 def filter_min_interactions(records, threshold: int) -> list:
     """Iteratively drop users/items with fewer than ``threshold`` interactions.
 
@@ -136,7 +128,7 @@ def filter_min_interactions(records, threshold: int) -> list:
         current = kept
 
 
-def build_descriptor(records, rating_scale=(1.0, 5.0)) -> DatasetDescriptor:
+def build_descriptor(records) -> DatasetDescriptor:
     """Assign dense indices by order of first appearance."""
     user_index, item_index = {}, {}
     for r in records:
@@ -144,8 +136,7 @@ def build_descriptor(records, rating_scale=(1.0, 5.0)) -> DatasetDescriptor:
             user_index[r.user_id] = len(user_index)
         if r.item_id not in item_index:
             item_index[r.item_id] = len(item_index)
-    return DatasetDescriptor(len(user_index), len(item_index), tuple(rating_scale),
-                             user_index, item_index)
+    return DatasetDescriptor(len(user_index), len(item_index), user_index, item_index)
 
 
 def kfold_split(records, k: int, seed: int) -> list:

@@ -38,7 +38,7 @@ def tiny_instance(num_users: int = 5, num_items: int = 6, seed: int = 7):
         seen.add((u, v))
         rating = float(rng.choice([1, 2, 4, 5]))
         records.append(RatingRecord(f"u{u}", f"i{v}", rating))
-    descriptor = DatasetDescriptor(num_users, num_items, (1.0, 5.0),
+    descriptor = DatasetDescriptor(num_users, num_items,
                                    {f"u{u}": u for u in range(num_users)},
                                    {f"i{v}": v for v in range(num_items)})
     return build_signed_graph(records, descriptor, w_o=3.5)
@@ -148,7 +148,7 @@ def check_partition(cases: int = 200, seed: int = 13) -> CheckResult:
         records = [RatingRecord(f"u{p // num_items}", f"i{p % num_items}",
                                 float(rng.choice([1, 2, 3, 4, 5])))
                    for p in pairs]
-        descriptor = DatasetDescriptor(num_users, num_items, (1.0, 5.0),
+        descriptor = DatasetDescriptor(num_users, num_items,
                                        {f"u{u}": u for u in range(num_users)},
                                        {f"i{v}": v for v in range(num_items)})
         g = build_signed_graph(records, descriptor, w_o=3.5)

@@ -25,7 +25,6 @@ class SignedBipartiteGraph:
     users: np.ndarray      # user index per edge
     items: np.ndarray      # item index per edge
     weights: np.ndarray    # signed weight per edge, never zero
-    offset: float          # rating threshold used to sign the edges
 
     @property
     def num_edges(self) -> int:
@@ -73,8 +72,7 @@ def build_signed_graph(records, descriptor, w_o: float) -> SignedBipartiteGraph:
     return SignedBipartiteGraph(descriptor.num_users, descriptor.num_items,
                                 np.asarray(users, dtype=np.int64),
                                 np.asarray(items, dtype=np.int64),
-                                np.asarray(weights, dtype=np.float64),
-                                float(w_o))
+                                np.asarray(weights, dtype=np.float64))
 
 
 def partition(g: SignedBipartiteGraph) -> PartitionedGraphs:
@@ -92,7 +90,7 @@ def positive_subgraph(g: SignedBipartiteGraph) -> SignedBipartiteGraph:
     """Graph restricted to positive edges (baseline training mode)."""
     pos = g.weights > 0
     return SignedBipartiteGraph(g.num_users, g.num_items,
-                                g.users[pos], g.items[pos], g.weights[pos], g.offset)
+                                g.users[pos], g.items[pos], g.weights[pos])
 
 
 def _edge_arrays(p: PartitionedGraphs, edge_set: str):

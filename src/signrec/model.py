@@ -7,9 +7,7 @@ variants swap or drop the negative path.
 """
 from __future__ import annotations
 
-import json
-import struct
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,8 +16,6 @@ from .autodiff import Tensor
 from .graph import BACKBONES, NormalizedAdjacency, normalized_adjacency
 
 VARIANTS = ("mlp-gn", "gnn-gn", "no-gn", "no-split")
-
-CHECKPOINT_MAGIC = b"SIGNREC1"
 
 
 @dataclass
@@ -215,38 +211,24 @@ def forward_tensors(adjs: AdjacencySet, state: ModelState, cfg: ModelConfig,
     return z, z_p, z_n, alpha_p, alpha_n
 
 
-def save_checkpoint(path: str, state: ModelState, cfg: ModelConfig,
-                    num_users: int, num_items: int) -> None:
-    """Binary checkpoint: magic, JSON header, then little-endian f32 tensors."""
-    header = {
-        "config": asdict(cfg),
-        "num_users": num_users,
-        "num_items": num_items,
-        "tensors": [{"name": n, "shape": list(state[n].shape)} for n in state.names()],
-    }
-    blob = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for name in state.names():
-            fh.write(state[name].value.astype("<f4").tobytes())
+def save_checkpoint(path: str, state: ModelState) -> None:
+    """Write every parameter under its name, float64, as a numpy ``.npz`` archive.
+
+    The archive holds no model config or node counts: the run's ``config``
+    file does, and ``ModelConfig(**config["model"])`` rebuilds the config.
+    """
+    np.savez(path, **{name: state[name].value for name in state.names()})
 
 
-def load_checkpoint(path: str):
-    """Returns (state, cfg, num_users, num_items)."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint (bad magic {magic!r})")
-        (size,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(size).decode("utf-8"))
-        cfg = ModelConfig(**header["config"])
-        params = {}
-        for entry in header["tensors"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape))
-            raw = fh.read(count * 4)
-            arr = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
-            params[entry["name"]] = Tensor(arr, requires_grad=True)
-    return ModelState(params), cfg, header["num_users"], header["num_items"]
+def load_checkpoint(path: str) -> ModelState:
+    """Read a :func:`save_checkpoint` archive back bit for bit.
+
+    A ``.npy`` file or other bytes that are not such an archive raise
+    ``ValueError`` (an empty or truncated file raises ``np.load``'s own error).
+    """
+    archive = np.load(path)
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise ValueError(f"{path}: not a checkpoint archive")
+    with archive:
+        return ModelState({name: Tensor(archive[name], requires_grad=True)
+                           for name in archive.files})

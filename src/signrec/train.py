@@ -346,8 +346,6 @@ class TrainResult:
     state: ModelState
     log: list
     embeddings: np.ndarray  # final fused embeddings, dropout disabled
-    config: ModelConfig
-    train_config: TrainConfig
 
 
 def train(g: SignedBipartiteGraph, cfg: ModelConfig, tcfg: TrainConfig,
@@ -388,4 +386,4 @@ def train(g: SignedBipartiteGraph, cfg: ModelConfig, tcfg: TrainConfig,
             epoch_callback(entry, state)
 
     z_final, *_ = forward_tensors(adjs, state, cfg, training=False)
-    return TrainResult(state, history, z_final.value, cfg, tcfg)
+    return TrainResult(state, history, z_final.value)

@@ -18,7 +18,7 @@ from signrec.train import TrainingDiverged, TrainingTriples, noise_distribution,
 
 
 def toy_descriptor(num_users, num_items):
-    return DatasetDescriptor(num_users, num_items, (1.0, 5.0),
+    return DatasetDescriptor(num_users, num_items,
                              {f"u{u}": u for u in range(num_users)},
                              {f"i{v}": v for v in range(num_items)})
 

@@ -1,12 +1,18 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import signrec
 from signrec.cli import (
     EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main, read_config_file,
 )
+from signrec.data import build_descriptor, parse_ratings, read_fold_manifests
+from signrec.graph import build_signed_graph, partition
+from signrec.model import AdjacencySet, ModelConfig, forward_tensors, load_checkpoint
 
 from helpers import planted_dataset
 
@@ -79,7 +85,7 @@ def test_train_evaluate_cycle(dataset_path, tmp_path):
     run_dir = next(p for p in os.listdir(out) if "mlp-gn" in p)
     run_path = os.path.join(out, run_dir)
     assert os.path.isfile(os.path.join(run_path, "config"))
-    assert os.path.isfile(os.path.join(run_path, "checkpoints", "final.bin"))
+    assert os.path.isfile(os.path.join(run_path, "checkpoints", "final.npz"))
     assert os.path.isfile(os.path.join(run_path, "embeddings.npy"))
     assert os.path.isfile(os.path.join(run_path, "logs", "epochs.csv"))
     config = json.load(open(os.path.join(run_path, "config")))
@@ -89,6 +95,57 @@ def test_train_evaluate_cycle(dataset_path, tmp_path):
                 + ["--run", run_path, "--k", "5"])
     assert code == EXIT_OK
     assert os.path.isfile(os.path.join(run_path, "reports", "metrics.csv"))
+
+
+def test_checkpoints_rebuild_embeddings_and_resume_points(dataset_path, tmp_path):
+    out = str(tmp_path / "runs")
+    assert main(["split"] + base_args(dataset_path, out)) == EXIT_OK
+    args = train_args(dataset_path, out, epochs=3, **{"checkpoint-every": 1})
+    assert main(args) == EXIT_OK
+    run_path = os.path.join(out, next(p for p in os.listdir(out) if "mlp-gn" in p))
+    ckpt_dir = os.path.join(run_path, "checkpoints")
+    assert sorted(os.listdir(ckpt_dir)) == ["epoch0.npz", "epoch1.npz", "epoch2.npz",
+                                            "final.npz"]
+
+    # final.npz plus the run's config rebuilds embeddings.npy exactly
+    config = json.load(open(os.path.join(run_path, "config")))
+    cfg = ModelConfig(**config["model"])
+    descriptor = build_descriptor(parse_ratings(dataset_path))
+    manifests = os.path.join(out, next(p for p in os.listdir(out) if "folds" in p))
+    fold = read_fold_manifests(manifests, config["k_folds"])[config["fold"]]
+    g = build_signed_graph(fold.train, descriptor, config["w_o"])
+    z, *_ = forward_tensors(AdjacencySet.build(partition(g), cfg),
+                            load_checkpoint(os.path.join(ckpt_dir, "final.npz")), cfg)
+    assert z.value.tobytes() == np.load(os.path.join(run_path, "embeddings.npy")).tobytes()
+
+    # the last epoch's checkpoint is the final one, and the first epoch's is
+    # the final one of a one-epoch run
+    def read(name):
+        return open(os.path.join(ckpt_dir, name), "rb").read()
+
+    final, epoch0 = read("final.npz"), read("epoch0.npz")
+    assert read("epoch2.npz") == final
+    assert epoch0 != final
+    assert main(train_args(dataset_path, out, epochs=1)) == EXIT_OK
+    assert read("final.npz") == epoch0
+
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset, expected", [(None, ["1", "1", "1"]),
+                                              ("3", ["3", "1", "1"])],
+                         ids=["unset", "user-set"])
+def test_cli_import_pins_one_blas_thread(preset, expected):
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(signrec.__file__))
+    code = ("import os, signrec.cli; "
+            f"print(' '.join(os.environ[v] for v in {_THREAD_VARS!r}))")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.split() == expected
 
 
 def test_variant_tags_run_directory(dataset_path, tmp_path):
@@ -135,9 +192,22 @@ def test_config_file_with_flag_override(dataset_path, tmp_path):
     # flag overrides file value
     assert main(["--config", str(cfg_file), "train", "--fold", "0", "--epochs", "1"]) == EXIT_OK
     run_dir = next(p for p in os.listdir(out) if "mlp-gn" in p)
-    config = json.load(open(os.path.join(out, run_dir, "config")))
+    text = open(os.path.join(out, run_dir, "config")).read()
+    config = json.loads(text)
     assert config["training"]["epochs"] == 1
     assert config["model"]["dim"] == 8
+    # every default, as its own dataclass declares it, byte for byte
+    expected = {
+        "dataset": dataset_path, "fold": 0, "format": "tsv", "k_folds": 3, "ks": [5, 10, 15],
+        "min_interactions": 0, "out": out, "seed": 11, "threads": 1, "w_o": 3.5,
+        "model": {"attn_dim": 64, "backbone": "lightgcn", "dim": 8, "dropout_p": 0.5,
+                  "gnn_layers": 2, "leaky_relu_alpha": 0.1, "mlp_layers": 2,
+                  "variant": "mlp-gn"},
+        "training": {"batch_size": 128, "c": 2.0, "epochs": 1, "lambda_reg": 0.01,
+                     "learning_rate": 0.005, "loss": "sign-aware-bpr", "n_neg": 2,
+                     "positive_edges_only": False, "seed": 11},
+    }
+    assert text == json.dumps(expected, indent=2, sort_keys=True)
 
 
 def test_config_file_positive_only(dataset_path, tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from signrec.data import (
     ParseError, RatingRecord, ValidationError, build_descriptor,
     filter_min_interactions, kfold_split, parse_ratings,
-    read_fold_manifests, serialize_ratings, write_fold_manifests,
+    read_fold_manifests, write_fold_manifests,
 )
 
 
@@ -44,10 +44,9 @@ def test_rating_outside_scale_rejected():
         parse_ratings(b"1\t2\t9\t0\n")
 
 
-def test_parse_serialize_round_trip():
-    text = "1\t2\t5\t100\n3\t4\t2.5\t0\n"
-    records = parse_ratings(text.encode())
-    assert serialize_ratings(records) == text
+def test_parse_fractional_rating_and_timestamp():
+    records = parse_ratings(b"1\t2\t5\t100\n3\t4\t2.5\t0\n")
+    assert records == [RatingRecord("1", "2", 5.0, 100), RatingRecord("3", "4", 2.5, 0)]
 
 
 def test_filter_threshold_boundary():

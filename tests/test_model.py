@@ -234,21 +234,23 @@ def test_output_dim_matches_layer_aggregation():
 def test_checkpoint_round_trip(tmp_path):
     cfg = ModelConfig(dim=4, gnn_layers=2, attn_dim=4)
     state = init_state(cfg, 3, 4, substream(6, "init"))
-    path = str(tmp_path / "ckpt.bin")
-    save_checkpoint(path, state, cfg, 3, 4)
-    loaded, cfg2, m, n = load_checkpoint(path)
-    assert (m, n) == (3, 4) and cfg2 == cfg
+    path = str(tmp_path / "ckpt.npz")
+    save_checkpoint(path, state)
+    loaded = load_checkpoint(path)
     assert loaded.names() == state.names()
     for name in state.names():
-        # f32 storage: round trip within single precision
-        assert np.allclose(loaded[name].value, state[name].value, atol=1e-6)
+        assert loaded[name].value.dtype == np.float64
+        assert loaded[name].value.tobytes() == state[name].value.tobytes()
 
 
 def test_checkpoint_bad_magic_rejected(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"NOTACKPT" + b"\x00" * 16)
-    with pytest.raises(ValueError):
-        load_checkpoint(str(path))
+    # neither other bytes nor a lone .npy array are a checkpoint archive
+    junk, npy = tmp_path / "junk.bin", tmp_path / "array.npy"
+    junk.write_bytes(b"NOTACKPT" + b"\x00" * 16)
+    np.save(npy, np.zeros((2, 3)))
+    for path in (junk, npy):
+        with pytest.raises(ValueError):
+            load_checkpoint(str(path))
 
 
 def test_model_config_validation():

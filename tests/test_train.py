@@ -121,7 +121,7 @@ def test_sampler_matches_reference_on_fuzzed_graphs():
             items = np.concatenate([items, missing])
         weights = rng.choice([-2.5, -1.5, 0.5, 1.5], size=len(users))
         g = SignedBipartiteGraph(num_users, num_items, users.astype(np.int64),
-                                 items.astype(np.int64), weights, 3.5)
+                                 items.astype(np.int64), weights)
         degree = np.bincount(g.users, minlength=num_users)
         saturated_cases += bool((degree == len(rated)).any())
         n_neg = int(rng.integers(1, 6))
@@ -148,7 +148,7 @@ def test_bucketed_inverse_cdf_equals_searchsorted():
         num_items = len(degrees)
         items = np.repeat(np.arange(num_items), degrees)
         g = SignedBipartiteGraph(len(items), num_items, np.arange(len(items)), items,
-                                 np.ones(len(items)), 3.5)
+                                 np.ones(len(items)))
         sampler = NegativeSampler(g, 1)
         cdf, k = sampler.cdf, sampler.buckets
         edges = np.arange(k) / k
