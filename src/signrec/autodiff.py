@@ -1,11 +1,12 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Just enough ops for this model family: dense/sparse matrix products,
-LightGCN layer aggregation as one fused op, elementwise arithmetic with
-broadcasting, the activations we use, row gathering, the sign-aware
-pairwise ranking terms as one fused op, concatenation and reductions. The
-L2 penalty is not a tape op: ``signrec.train`` adds its value to the loss
-and its gradient in the optimizer step.
+Just enough ops for this model family: dense/sparse matrix products, add
+and multiply with broadcasting, ReLU and LeakyReLU, dropout, row gathering,
+concatenation and reductions, plus three fused ops with hand-written
+backwards: LightGCN's layer aggregation, the attention fusion of the two
+embedding paths, and the sign-aware pairwise ranking terms. The L2 penalty
+is not a tape op: ``signrec.train`` adds its value to the loss and its
+gradient in the optimizer step.
 Values are kept in float64 so analytic gradients can be validated against
 central finite differences.
 """
@@ -41,9 +42,9 @@ class Tensor:
         return self.value.shape
 
     def _accumulate(self, grad):
-        # The first gradient is kept without a copy. It may be shared (add and
-        # sub hand one array to both parents), so a second write copies it
-        # before adding in place.
+        # The first gradient is kept without a copy. It may be shared (add
+        # hands one array to both parents), so a second write copies it before
+        # adding in place.
         if self.grad is None:
             self.grad = grad
             self._owns_grad = False
@@ -99,20 +100,6 @@ def add(a, b) -> Tensor:
     return out
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.value - b.value, parents=(a, b))
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(grad, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-grad, b.shape))
-
-    out._backward = backward
-    return out
-
-
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.value * b.value, parents=(a, b))
@@ -136,17 +123,6 @@ def matmul(a, b) -> Tensor:
             a._accumulate(grad @ b.value.T)
         if b.requires_grad:
             b._accumulate(a.value.T @ grad)
-
-    out._backward = backward
-    return out
-
-
-def transpose(a: Tensor) -> Tensor:
-    out = Tensor(a.value.T, parents=(a,))
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad.T)
 
     out._backward = backward
     return out
@@ -231,32 +207,6 @@ def leaky_relu(a: Tensor, alpha: float) -> Tensor:
     return out
 
 
-def tanh(a: Tensor) -> Tensor:
-    value = np.tanh(a.value)
-    out = Tensor(value, parents=(a,))
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad * (1.0 - value * value))
-
-    out._backward = backward
-    return out
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    x = a.value
-    value = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    out = Tensor(value, parents=(a,))
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad * value * (1.0 - value))
-
-    out._backward = backward
-    return out
-
-
 def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     """Rows ``a[idx]`` for an index array without repeats.
 
@@ -329,6 +279,51 @@ def bpr_terms(z: Tensor, users: np.ndarray, items: np.ndarray, negatives: np.nda
     return out
 
 
+def attention_fuse(z_p: Tensor, z_n: Tensor, w: Tensor, q: Tensor, b: Tensor, p: float,
+                   rng: np.random.Generator, training: bool):
+    """SiReN's attention fusion, as one tape node: ``(alpha_p, alpha_n, out)``.
+
+    Each path scores ``tanh(dropout(z) @ w.T + b.T) @ q``; the weights are
+    the softmax of the two scores, returned as constants, and ``out = alpha_p
+    * z_p + alpha_n * z_n``. Both weights come from one ``exp(-|s_p - s_n|)``
+    and equal ``sigmoid(s_p - s_n)`` and ``sigmoid(s_n - s_p)`` bit for bit.
+    The backward repeats the elementwise steps of the equivalent chain of
+    dropout, transpose, matmul, add, tanh, sub, sigmoid and mul nodes in that
+    chain's order. No tensor of the chain adds more than two gradient terms,
+    so for distinct ``z_p`` and ``z_n`` the gradients equal the chain's bit
+    for bit.
+    """
+    masks = [_dropout_mask(z.shape, p, rng, training) for z in (z_p, z_n)]
+    ins = [z.value if m is None else z.value * m for z, m in zip((z_p, z_n), masks)]
+    w_t, b_row = w.value.T, b.value.T
+    hidden = [np.tanh(x @ w_t + b_row) for x in ins]
+    s_p, s_n = (h @ q.value for h in hidden)
+    d = s_p - s_n
+    e = np.exp(-np.abs(d))
+    big, small = 1.0 / (1.0 + e), e / (1.0 + e)
+    alphas = np.where(d >= 0, big, small), np.where(d <= 0, big, small)
+    out = Tensor(alphas[0] * z_p.value + alphas[1] * z_n.value, parents=(z_p, z_n, w, q, b))
+
+    def backward(grad):
+        g_p, g_n = (_unbroadcast(grad * z.value, a.shape) * a * (1.0 - a)
+                    for z, a in zip((z_p, z_n), alphas))
+        terms = []
+        for z, x, m, h, a, g_s in zip((z_p, z_n), ins, masks, hidden, alphas,
+                                      (g_p - g_n, g_n - g_p)):
+            g_pre = (g_s @ q.value.T) * (1.0 - h * h)
+            terms.append((x.T @ g_pre, h.T @ g_s, _unbroadcast(g_pre, b_row.shape)))
+            if z.requires_grad:
+                g_x = g_pre @ w_t.T
+                z._accumulate(grad * a + (g_x if m is None else g_x * m))
+        g_w, g_q, g_b = (t_p + t_n for t_p, t_n in zip(*terms))
+        for t, g in ((w, g_w.T), (q, g_q), (b, g_b.T)):
+            if t.requires_grad:
+                t._accumulate(g)
+
+    out._backward = backward
+    return constant(alphas[0]), constant(alphas[1]), out
+
+
 def reduce_sum(a: Tensor, axis=None) -> Tensor:
     out = Tensor(a.value.sum(axis=axis), parents=(a,))
 
@@ -358,9 +353,14 @@ def concat(tensors: list, axis: int = 1) -> Tensor:
     return out
 
 
+def _dropout_mask(shape, p: float, rng: np.random.Generator, training: bool):
+    """Inverted dropout's mask: 0 or 1/(1-p) per unit; None when dropout is off."""
+    if not training or p <= 0.0:
+        return None
+    return (rng.random(shape) >= p) / (1.0 - p)
+
+
 def dropout(a: Tensor, p: float, rng: np.random.Generator, training: bool) -> Tensor:
     """Inverted dropout: scales kept units by 1/(1-p) at train time."""
-    if not training or p <= 0.0:
-        return a
-    mask = (rng.random(a.shape) >= p) / (1.0 - p)
-    return mul(a, constant(mask))
+    mask = _dropout_mask(a.shape, p, rng, training)
+    return a if mask is None else mul(a, constant(mask))

@@ -17,7 +17,8 @@ from dataclasses import dataclass, asdict, field
 # One BLAS thread unless the user set the variable: bitwise reproducibility
 # assumes it, and small BLAS calls lose to thread hand-offs. It must be set
 # before numpy is first imported, so it holds where threadpoolctl is missing.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in _THREAD_VARS:
     os.environ.setdefault(_var, "1")
 
 import numpy as np
@@ -28,8 +29,6 @@ from .diagnostics import run_all
 from .graph import build_signed_graph
 from .model import ModelConfig, save_checkpoint
 from .train import TrainConfig, TrainingDiverged, train
-
-log = logging.getLogger("signrec")
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERICAL = 0, 1, 2, 3
 
@@ -200,9 +199,12 @@ def _merge_config(args) -> ExperimentConfig:
 def _set_threads(n: int) -> None:
     try:
         import threadpoolctl
+    except ImportError:  # then only the variables set before numpy loaded count
+        if any(os.environ.get(var) != str(n) for var in _THREAD_VARS):
+            raise UsageError(f"--threads {n} needs threadpoolctl, or "
+                             f"{', '.join(_THREAD_VARS)} all set to {n}") from None
+    else:
         threadpoolctl.threadpool_limits(limits=n)
-    except ImportError:  # pragma: no cover
-        log.warning("threadpoolctl unavailable; thread limit not enforced")
 
 
 def _load_dataset(cfg: ExperimentConfig):

@@ -15,10 +15,10 @@ RATING_SCALE = (1.0, 5.0)
 
 
 class ParseError(ValueError):
-    """Malformed input line; carries the 1-based line number."""
+    """Malformed input line; carries the 1-based line number and, if known, the file."""
 
-    def __init__(self, message: str, line_no: int):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, message: str, line_no: int, path: str | None = None):
+        super().__init__(f"{path + ': ' if path else ''}line {line_no}: {message}")
         self.line_no = line_no
 
 
@@ -191,8 +191,12 @@ def read_fold_manifests(directory, k: int) -> list:
             for line_no, line in enumerate(fh, start=1):
                 parts = line.rstrip("\n").split("\t")
                 if len(parts) != 5:
-                    raise ParseError("expected 5 manifest fields", line_no)
-                records.append(RatingRecord(parts[1], parts[2], float(parts[3]), int(parts[4])))
+                    raise ParseError("expected 5 manifest fields", line_no, path)
+                try:
+                    rating, timestamp = float(parts[3]), int(parts[4])
+                except ValueError as exc:
+                    raise ParseError(f"bad rating or timestamp ({exc})", line_no, path) from None
+                records.append(RatingRecord(parts[1], parts[2], rating, timestamp))
         tests.append(records)
     folds = []
     for fold_index in range(k):

@@ -7,6 +7,7 @@ variants swap or drop the negative path.
 """
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,20 +152,11 @@ def mlp_forward(state: ModelState, cfg: ModelConfig, training: bool = False,
 
 def attention_fuse(z_p: Tensor, z_n: Tensor, state: ModelState, cfg: ModelConfig,
                    training: bool = False, rng: np.random.Generator | None = None):
-    """Score both embeddings per node, softmax the pair, fuse convexly."""
+    """Score both embeddings per node, softmax the pair, fuse convexly (``ad.attention_fuse``)."""
     if z_p.shape != z_n.shape:
         raise ValueError("embedding shapes differ")
-    w_t = ad.transpose(state["attn.w"])       # (d_out, d')
-    b_row = ad.transpose(state["attn.b"])     # (1, d')
-    zp_in = ad.dropout(z_p, cfg.dropout_p, rng, training)
-    zn_in = ad.dropout(z_n, cfg.dropout_p, rng, training)
-    score_p = ad.matmul(ad.tanh(ad.add(ad.matmul(zp_in, w_t), b_row)), state["attn.q"])
-    score_n = ad.matmul(ad.tanh(ad.add(ad.matmul(zn_in, w_t), b_row)), state["attn.q"])
-    diff = ad.sub(score_p, score_n)
-    alpha_p = ad.sigmoid(diff)
-    alpha_n = ad.sigmoid(ad.sub(score_n, score_p))
-    fused = ad.add(ad.mul(alpha_p, z_p), ad.mul(alpha_n, z_n))
-    return alpha_p, alpha_n, fused
+    return ad.attention_fuse(z_p, z_n, state["attn.w"], state["attn.q"], state["attn.b"],
+                             cfg.dropout_p, rng, training)
 
 
 @dataclass
@@ -192,8 +184,9 @@ def forward_tensors(adjs: AdjacencySet, state: ModelState, cfg: ModelConfig,
     """Forward pass returning live tensors (for training graphs).
 
     Returns (Z, Z_p, Z_n, alpha_p, alpha_n); the last three are None for
-    variants that skip the negative path. With ``rows``, a sorted array of
-    unique node indices, every returned tensor holds one row per entry of
+    variants that skip the negative path, and the alphas are constants: the
+    gradient reaches the attention through Z. With ``rows``, a sorted array
+    of unique node indices, every returned tensor holds one row per entry of
     ``rows``: propagation computes only those output rows (see
     ``propagate``), and the MLP, dropout and attention run on them alone.
     """
@@ -221,14 +214,14 @@ def save_checkpoint(path: str, state: ModelState) -> None:
 
 
 def load_checkpoint(path: str) -> ModelState:
-    """Read a :func:`save_checkpoint` archive back bit for bit.
-
-    A ``.npy`` file or other bytes that are not such an archive raise
-    ``ValueError`` (an empty or truncated file raises ``np.load``'s own error).
-    """
-    archive = np.load(path)
-    if not isinstance(archive, np.lib.npyio.NpzFile):
-        raise ValueError(f"{path}: not a checkpoint archive")
-    with archive:
-        return ModelState({name: Tensor(archive[name], requires_grad=True)
-                           for name in archive.files})
+    """Read a :func:`save_checkpoint` archive back bit for bit; other bytes (an
+    empty or truncated file, a ``.npy`` array) raise ``ValueError`` naming ``path``."""
+    try:
+        archive = np.load(path)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise ValueError("one array, not an archive")
+        with archive:
+            return ModelState({name: Tensor(archive[name], requires_grad=True)
+                               for name in archive.files})
+    except (EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path}: not a checkpoint archive ({exc})") from None

@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from signrec import autodiff as ad
+from signrec import model
 from signrec.autodiff import Tensor
 from signrec.data import DatasetDescriptor, RatingRecord
 from signrec.model import forward_tensors
@@ -143,6 +144,20 @@ def _softplus(a):
     return out
 
 
+def _sub(a, b):
+    """Tape node for ``a - b``; both parents share one shape."""
+    out = Tensor(a.value - b.value, parents=(a, b))
+
+    def backward(grad):
+        if a.requires_grad:
+            a._accumulate(grad)
+        if b.requires_grad:
+            b._accumulate(-grad)
+
+    out._backward = backward
+    return out
+
+
 def reference_triple_loss_terms(z, num_users, triples, c, loss):
     """Chain-of-nodes form of ``signrec.train.triple_loss_terms``.
 
@@ -159,8 +174,56 @@ def reference_triple_loss_terms(z, num_users, triples, c, loss):
         coef = np.ones(len(triples))
     else:
         coef = np.where(triples.signs < 0, c, 1.0)
-    margin = ad.sub(ad.mul(r_ui, ad.constant(coef)), r_uj)
+    margin = _sub(ad.mul(r_ui, ad.constant(coef)), r_uj)
     return _softplus(ad.mul(margin, -1.0))
+
+
+# ---------------------------------------------------------------------------
+# attention reference
+
+def _transpose(a):
+    """Tape node for ``a.T``."""
+    out = Tensor(a.value.T, parents=(a,))
+    out._backward = lambda grad: a._accumulate(grad.T)
+    return out
+
+
+def _tanh(a):
+    """Tape node for tanh; the gradient is 1 - tanh(x)^2."""
+    value = np.tanh(a.value)
+    out = Tensor(value, parents=(a,))
+    out._backward = lambda grad: a._accumulate(grad * (1.0 - value * value))
+    return out
+
+
+def _sigmoid(a):
+    """Tape node for the overflow-safe logistic function."""
+    x = a.value
+    value = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    out = Tensor(value, parents=(a,))
+    out._backward = lambda grad: a._accumulate(grad * value * (1.0 - value))
+    return out
+
+
+def reference_attention_fuse(z_p, z_n, state, cfg, training=False, rng=None):
+    """Chain-of-nodes form of ``signrec.model.attention_fuse``.
+
+    Dropout, transposes, products, bias add, tanh, the two score
+    differences, two sigmoids and the convex mix, each its own tape node.
+    The fused op must give the same output, weights, gradients and dropout
+    draws bit for bit.
+    """
+    w_t = _transpose(state["attn.w"])
+    b_row = _transpose(state["attn.b"])
+    zp_in = ad.dropout(z_p, cfg.dropout_p, rng, training)
+    zn_in = ad.dropout(z_n, cfg.dropout_p, rng, training)
+    score_p = ad.matmul(_tanh(ad.add(ad.matmul(zp_in, w_t), b_row)), state["attn.q"])
+    score_n = ad.matmul(_tanh(ad.add(ad.matmul(zn_in, w_t), b_row)), state["attn.q"])
+    alpha_p = _sigmoid(_sub(score_p, score_n))
+    alpha_n = _sigmoid(_sub(score_n, score_p))
+    fused = ad.add(ad.mul(alpha_p, z_p), ad.mul(alpha_n, z_n))
+    return alpha_p, alpha_n, fused
 
 
 # ---------------------------------------------------------------------------
@@ -207,16 +270,18 @@ def reference_l2_penalty(tensors, lam):
 
 def reference_batch_loss(adjs, state, cfg, tcfg, num_users, batch, rng):
     """One step's loss with ``np.unique`` rows, whole-graph LightGCN
-    propagation and the penalty as a tape node."""
+    propagation, the attention as a chain of nodes and the penalty as a tape
+    node."""
     nodes = np.concatenate([batch.users, num_users + batch.items,
                             num_users + batch.negatives])
     rows, local = np.unique(nodes, return_inverse=True)
     users, items, negatives = np.split(local, 3)
-    original, ad.spmm_power_mean = ad.spmm_power_mean, reference_spmm_power_mean
+    originals = ad.spmm_power_mean, model.attention_fuse
+    ad.spmm_power_mean, model.attention_fuse = reference_spmm_power_mean, reference_attention_fuse
     try:
         z, *_ = forward_tensors(adjs, state, cfg, training=True, rng=rng, rows=rows)
     finally:
-        ad.spmm_power_mean = original
+        ad.spmm_power_mean, model.attention_fuse = originals
     terms = triple_loss_terms(z, 0, TrainingTriples(users, items, negatives, batch.signs),
                               tcfg.c, tcfg.loss)
     total = ad.reduce_sum(terms)

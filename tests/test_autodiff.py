@@ -5,6 +5,8 @@ import scipy.sparse as sp
 from signrec import autodiff as ad
 from signrec.autodiff import Tensor
 
+from helpers import _sigmoid, _tanh, _transpose
+
 
 def finite_difference(fn, params, h=1e-6):
     """Central-difference gradients of scalar fn() w.r.t. each param tensor."""
@@ -52,7 +54,7 @@ def test_add_mul_broadcast():
 def test_matmul_transpose():
     a = _param(rng, 3, 4)
     w = _param(rng, 2, 4)
-    check_op(lambda: ad.reduce_sum(ad.matmul(a, ad.transpose(w))), [a, w])
+    check_op(lambda: ad.reduce_sum(ad.matmul(a, _transpose(w))), [a, w])
 
 
 def test_spmm():
@@ -61,7 +63,8 @@ def test_spmm():
     check_op(lambda: ad.reduce_sum(ad.mul(ad.spmm(mat, x), x)), [x])
 
 
-@pytest.mark.parametrize("op", [ad.relu, ad.tanh, ad.sigmoid,
+@pytest.mark.parametrize("op", [ad.relu, pytest.param(_tanh, id="tanh"),
+                                pytest.param(_sigmoid, id="sigmoid"),
                                 lambda t: ad.leaky_relu(t, 0.1)])
 def test_unary_ops(op):
     # offset away from the ReLU kink so finite differences are clean
@@ -89,6 +92,19 @@ def test_bpr_terms_matches_finite_differences():
     negatives = np.array([5, 7, 7, 3, 5, 5])
     coef = np.array([1.0, 2.0, 1.0, 2.0, 2.0, 1.0])
     check_op(lambda: ad.reduce_sum(ad.bpr_terms(x, users, items, negatives, coef)), [x])
+
+
+def test_attention_fuse_matches_finite_differences():
+    # dropout on, with the same masks in every evaluation
+    z_p, z_n = _param(rng, 5, 3), _param(rng, 5, 3)
+    w, q, b = _param(rng, 4, 3), _param(rng, 4, 1), _param(rng, 4, 1)
+    weights = rng.standard_normal((5, 3))
+
+    def build():
+        *_, out = ad.attention_fuse(z_p, z_n, w, q, b, 0.3, np.random.default_rng(5), True)
+        return ad.reduce_sum(ad.mul(out, weights))
+
+    check_op(build, [z_p, z_n, w, q, b])
 
 
 def test_gather_rows_scatter_add():

@@ -148,6 +148,34 @@ def test_cli_import_pins_one_blas_thread(preset, expected):
     assert run.stdout.split() == expected
 
 
+@pytest.mark.parametrize("threads, expected", [("1", EXIT_OK), ("2", EXIT_USAGE)])
+def test_threads_without_threadpoolctl(dataset_path, tmp_path, monkeypatch, capsys, caplog,
+                                       threads, expected):
+    # a thread count the pinned variables already give is honoured silently;
+    # any other needs threadpoolctl, so it is a usage error
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import raises ImportError
+    for var in _THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+    args = ["split"] + base_args(dataset_path, str(tmp_path / "runs")) + ["--threads", threads]
+    assert main(args) == expected
+    assert ("threadpoolctl" in capsys.readouterr().err) == (expected == EXIT_USAGE)
+    assert not [r for r in caplog.records if "thread" in r.getMessage()]
+
+
+@pytest.mark.parametrize("row", ["0\tu1\ti1\tx\t5", "0\tu1\ti1\t4\tt", "0\tu1"])
+def test_bad_manifest_row_names_file_and_line(dataset_path, tmp_path, capsys, row):
+    out = tmp_path / "runs"
+    assert main(["split"] + base_args(dataset_path, str(out))) == EXIT_OK
+    manifest = next(p for p in out.iterdir() if "folds" in p.name) / "fold1.tsv"
+    lines = manifest.read_text().splitlines(keepends=True)
+    lines[1] = row + "\n"
+    manifest.write_text("".join(lines))
+    capsys.readouterr()
+    args = ["evaluate"] + base_args(dataset_path, str(out)) + ["--run", str(tmp_path / "run")]
+    assert main(args) == EXIT_DATA
+    assert f"{manifest}: line 2:" in capsys.readouterr().err
+
+
 def test_variant_tags_run_directory(dataset_path, tmp_path):
     out = str(tmp_path / "runs")
     assert main(["split"] + base_args(dataset_path, out)) == EXIT_OK

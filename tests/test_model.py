@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from signrec import autodiff as ad
 from signrec.autodiff import Tensor
 from signrec.data import RatingRecord
 from signrec.graph import build_signed_graph, normalized_adjacency, partition
@@ -11,7 +14,10 @@ from signrec.model import (
 )
 from signrec.rng import substream
 
-from helpers import dense_adjacency, dense_propagate_reference, random_records, toy_descriptor
+from helpers import (
+    dense_adjacency, dense_propagate_reference, random_records, reference_attention_fuse,
+    toy_descriptor,
+)
 
 
 def pair_graph():
@@ -162,6 +168,40 @@ def mixed_graph(rng, num_users=5, num_items=6):
     return partition(g)
 
 
+@pytest.mark.parametrize("variant", ["mlp-gn", "gnn-gn"])
+@pytest.mark.parametrize("p", [0.0, 0.3])
+@pytest.mark.parametrize("training", [False, True])
+def test_fused_attention_matches_reference_chain(variant, p, training):
+    """Output, weights, every gradient and the dropout draws equal the chain's
+    bit for bit, on the embeddings the model feeds the attention."""
+    parts = mixed_graph(np.random.default_rng(14))
+    for backbone in ("lightgcn", "ngcf"):
+        cfg = ModelConfig(backbone=backbone, variant=variant, dim=4, gnn_layers=2,
+                          attn_dim=5, dropout_p=p)
+        init = init_state(cfg, 5, 6, substream(7, "init"))
+        adjs = AdjacencySet.build(parts, cfg)
+        z_p = propagate(adjs.positive, init, cfg).value
+        z_n = (propagate(adjs.negative, init, cfg, prefix="gnn_neg") if variant == "gnn-gn"
+               else mlp_forward(init, cfg)).value
+        # equal paths (alpha exactly 1/2), a signed zero, a saturated tanh
+        z_n[0] = z_p[0]
+        z_p[1, 0] = -0.0
+        z_p[2] *= 1e3
+        weights = np.random.default_rng(15).standard_normal(z_p.shape)
+        outs = []
+        for op in (attention_fuse, reference_attention_fuse):
+            state = ModelState({n: Tensor(init[n].value.copy(), requires_grad=True)
+                                for n in ("attn.w", "attn.q", "attn.b")})
+            zs = [Tensor(z.copy(), requires_grad=True) for z in (z_p, z_n)]
+            rng = substream(7, "dropout")
+            alpha_p, alpha_n, fused = op(*zs, state, cfg, training, rng)
+            ad.reduce_sum(ad.mul(fused, ad.constant(weights))).backward()
+            outs.append([t.value.tobytes() for t in (fused, alpha_p, alpha_n)]
+                        + [t.grad.tobytes() for t in zs + state.tensors()]
+                        + [rng.bit_generator.state])
+        assert outs[0] == outs[1], backbone
+
+
 def test_variant_no_gn_output_is_positive_path():
     rng = np.random.default_rng(4)
     parts = mixed_graph(rng)
@@ -244,12 +284,17 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 def test_checkpoint_bad_magic_rejected(tmp_path):
-    # neither other bytes nor a lone .npy array are a checkpoint archive
+    # neither other bytes, a lone .npy array, an empty file nor a truncated
+    # archive are a checkpoint archive
     junk, npy = tmp_path / "junk.bin", tmp_path / "array.npy"
+    empty, truncated = tmp_path / "empty.npz", tmp_path / "truncated.npz"
     junk.write_bytes(b"NOTACKPT" + b"\x00" * 16)
     np.save(npy, np.zeros((2, 3)))
-    for path in (junk, npy):
-        with pytest.raises(ValueError):
+    empty.write_bytes(b"")
+    save_checkpoint(str(truncated), init_state(ModelConfig(dim=4), 3, 4, substream(6, "init")))
+    truncated.write_bytes(truncated.read_bytes()[:truncated.stat().st_size // 2])
+    for path in (junk, npy, empty, truncated):
+        with pytest.raises(ValueError, match=re.escape(str(path))):
             load_checkpoint(str(path))
 
 
