@@ -1,10 +1,10 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Just enough ops for this model family: dense/sparse matrix products, add
-and multiply with broadcasting, ReLU and LeakyReLU, dropout, row gathering,
-concatenation and reductions, plus three fused ops with hand-written
-backwards: LightGCN's layer aggregation, the attention fusion of the two
-embedding paths, and the sign-aware pairwise ranking terms. The L2 penalty
+Just enough ops for this model family: dense/sparse matrix products, add and
+multiply with broadcasting, LeakyReLU, row gathering, concatenation and
+reductions, plus four fused ops with hand-written backwards: LightGCN's layer
+aggregation, the negative path's MLP and dropout, the attention fusion of the
+two embedding paths, and the sign-aware pairwise ranking terms. The L2 penalty
 is not a tape op: ``signrec.train`` adds its value to the loss and its
 gradient in the optimizer step.
 Values are kept in float64 so analytic gradients can be validated against
@@ -185,17 +185,6 @@ def spmm_power_mean(matrix: sp.spmatrix, x: Tensor, layers: int, rows=None) -> T
     return out
 
 
-def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.value, 0.0), parents=(a,))
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad * (a.value > 0))
-
-    out._backward = backward
-    return out
-
-
 def leaky_relu(a: Tensor, alpha: float) -> Tensor:
     out = Tensor(np.where(a.value > 0, a.value, alpha * a.value), parents=(a,))
 
@@ -324,6 +313,36 @@ def attention_fuse(z_p: Tensor, z_n: Tensor, w: Tensor, q: Tensor, b: Tensor, p:
     return constant(alphas[0]), constant(alphas[1]), out
 
 
+def mlp(x: Tensor, rows, layers: list, p: float, rng, training: bool) -> Tensor:
+    """``relu(h @ w + b)`` for each ``(w, b)`` of ``layers`` over ``x`` or its ``rows``, with
+    dropout after every layer but the last, as one tape node. Outputs, gradients and masks
+    equal the chain of gather, matmul, add, relu and dropout nodes bit for bit."""
+    idx = slice(None) if rows is None else np.asarray(rows)
+    h, saved = x.value[idx], []
+    for k, (w, b) in enumerate(layers):
+        act = np.maximum(h @ w.value + b.value, 0.0)
+        mask = _dropout_mask(act.shape, p, rng, training and k < len(layers) - 1)
+        saved.append((h, act, mask))
+        h = act if mask is None else act * mask
+    out = Tensor(h, parents=(x, *(t for pair in layers for t in pair)))
+
+    def backward(grad):
+        for (w, b), (h_in, act, mask) in zip(reversed(layers), reversed(saved)):
+            # the chain's steps in its order (relu(pre) > 0 is pre > 0), one term per tensor
+            grad = (grad if mask is None else grad * mask) * (act > 0)
+            for t, g in ((w, h_in.T @ grad), (b, _unbroadcast(grad, b.shape))):
+                if t.requires_grad:
+                    t._accumulate(g)
+            grad = grad @ w.value.T
+        if x.requires_grad:
+            full = np.zeros_like(x.value)
+            full[idx] = grad
+            x._accumulate(full)
+
+    out._backward = backward
+    return out
+
+
 def reduce_sum(a: Tensor, axis=None) -> Tensor:
     out = Tensor(a.value.sum(axis=axis), parents=(a,))
 
@@ -358,9 +377,3 @@ def _dropout_mask(shape, p: float, rng: np.random.Generator, training: bool):
     if not training or p <= 0.0:
         return None
     return (rng.random(shape) >= p) / (1.0 - p)
-
-
-def dropout(a: Tensor, p: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Inverted dropout: scales kept units by 1/(1-p) at train time."""
-    mask = _dropout_mask(a.shape, p, rng, training)
-    return a if mask is None else mul(a, constant(mask))

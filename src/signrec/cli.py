@@ -51,12 +51,6 @@ class ExperimentConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     training: TrainConfig = field(default_factory=TrainConfig)
 
-    def resolved(self) -> dict:
-        d = asdict(self)
-        d["model"] = asdict(self.model)
-        d["training"] = asdict(self.training)
-        return d
-
 
 def read_config_file(path: str) -> dict:
     """Flat key=value file mirroring the flags; '#' starts a comment."""
@@ -185,6 +179,8 @@ def _merge_config(args) -> ExperimentConfig:
     lo, hi = data_mod.RATING_SCALE
     if not lo < cfg.w_o < hi:
         raise UsageError("--w-o must lie strictly between 1 and 5")
+    if cfg.min_interactions < 0:
+        raise UsageError("--min-interactions must be >= 0")
     if getattr(args, "checkpoint_every", 0) < 0:
         raise UsageError("--checkpoint-every must be >= 0")
 
@@ -254,12 +250,10 @@ def cmd_train(args, cfg: ExperimentConfig) -> int:
     for sub in ("checkpoints", "logs", "reports"):
         os.makedirs(os.path.join(run_dir, sub), exist_ok=True)
     with open(os.path.join(run_dir, "config"), "w", encoding="utf-8") as fh:
-        json.dump(cfg.resolved() | {"fold": args.fold}, fh, indent=2, sort_keys=True)
-
-    checkpoint_every = args.checkpoint_every
+        json.dump(asdict(cfg) | {"fold": args.fold}, fh, indent=2, sort_keys=True)
 
     def on_epoch(entry, state):
-        if checkpoint_every and (entry.epoch + 1) % checkpoint_every == 0:
+        if args.checkpoint_every and (entry.epoch + 1) % args.checkpoint_every == 0:
             save_checkpoint(os.path.join(run_dir, "checkpoints", f"epoch{entry.epoch}.npz"), state)
 
     result = train(g, cfg.model, cfg.training, epoch_callback=on_epoch)

@@ -22,8 +22,8 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-class ValidationError(ValueError):
-    pass
+class ValidationError(ParseError):
+    """A well-formed line whose rating lies off the rating scale."""
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,9 @@ def parse_ratings(source, format: str = "tsv") -> list:
         raise ValueError(f"unknown format {format!r}")
     sep = _SEPARATORS[format]
 
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
+    path = os.fspath(source) if isinstance(source, (str, os.PathLike)) else None
+    if path is not None:
+        with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     elif isinstance(source, bytes):
         lines = source.decode("utf-8").splitlines()
@@ -90,19 +91,19 @@ def parse_ratings(source, format: str = "tsv") -> list:
             continue
         parts = line.split(sep)
         if len(parts) not in (3, 4):
-            raise ParseError(f"expected 3 or 4 fields separated by {sep!r}, got {len(parts)}", line_no)
+            raise ParseError(f"expected 3 or 4 fields separated by {sep!r}, got {len(parts)}",
+                             line_no, path)
         user_id, item_id = parts[0], parts[1]
         try:
             rating = float(parts[2])
         except ValueError:
-            raise ParseError(f"bad rating field {parts[2]!r}", line_no) from None
+            raise ParseError(f"bad rating field {parts[2]!r}", line_no, path) from None
         try:
             timestamp = int(parts[3]) if len(parts) == 4 else 0
         except ValueError:
-            raise ParseError(f"bad timestamp field {parts[3]!r}", line_no) from None
+            raise ParseError(f"bad timestamp field {parts[3]!r}", line_no, path) from None
         if not (lo <= rating <= hi):
-            raise ValidationError(
-                f"line {line_no}: rating {rating} outside scale [{lo}, {hi}]")
+            raise ValidationError(f"rating {rating} outside scale [{lo}, {hi}]", line_no, path)
         records.append(RatingRecord(user_id, item_id, rating, timestamp))
     return records
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DatasetDescriptor, RatingRecord
+from .data import DatasetDescriptor, RatingRecord, build_descriptor
 from .graph import build_signed_graph, partition
 from .model import AdjacencySet, ModelConfig, init_state
 from .rng import substream
@@ -110,8 +110,6 @@ def sampler_tv_distance(draws: int = 100_000, seed: int = 11) -> float:
                RatingRecord("x0", "lo", 5.0)]
     for k in range(16):
         records.append(RatingRecord(f"y{k}", "hi", 5.0))
-
-    from .data import build_descriptor
     descriptor = build_descriptor(records)
     g = build_signed_graph(records, descriptor, w_o=3.5)
 

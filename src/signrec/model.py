@@ -139,15 +139,9 @@ def propagate(adj: NormalizedAdjacency, state: ModelState, cfg: ModelConfig,
 
 def mlp_forward(state: ModelState, cfg: ModelConfig, training: bool = False,
                 rng: np.random.Generator | None = None, rows=None) -> Tensor:
-    """MLP over the negative path's embedding table, or over its ``rows``."""
-    z = state["mlp.z0"]
-    if rows is not None:
-        z = ad.gather_rows(z, rows)
-    for layer in range(cfg.mlp_layers):
-        z = ad.relu(ad.add(ad.matmul(z, state[f"mlp.w{layer}"]), state[f"mlp.b{layer}"]))
-        if training and layer < cfg.mlp_layers - 1:
-            z = ad.dropout(z, cfg.dropout_p, rng, training)
-    return z
+    """The negative path's ReLU layers over ``mlp.z0``, or its ``rows`` (``ad.mlp``)."""
+    layers = [(state[f"mlp.w{k}"], state[f"mlp.b{k}"]) for k in range(cfg.mlp_layers)]
+    return ad.mlp(state["mlp.z0"], rows, layers, cfg.dropout_p, rng, training)
 
 
 def attention_fuse(z_p: Tensor, z_n: Tensor, state: ModelState, cfg: ModelConfig,

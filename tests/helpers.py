@@ -179,6 +179,39 @@ def reference_triple_loss_terms(z, num_users, triples, c, loss):
 
 
 # ---------------------------------------------------------------------------
+# MLP reference
+
+def _relu(a):
+    """Tape node for max(x, 0); the gradient passes where x > 0."""
+    out = Tensor(np.maximum(a.value, 0.0), parents=(a,))
+    out._backward = lambda grad: a._accumulate(grad * (a.value > 0))
+    return out
+
+
+def _dropout(a, p, rng, training):
+    """Inverted dropout as a product with a constant mask from ``ad._dropout_mask``."""
+    mask = ad._dropout_mask(a.shape, p, rng, training)
+    return a if mask is None else ad.mul(a, ad.constant(mask))
+
+
+def reference_mlp_forward(state, cfg, training=False, rng=None, rows=None):
+    """Chain-of-nodes form of ``signrec.model.mlp_forward``.
+
+    A row gather, then a product, bias add and ReLU per layer, with dropout
+    after every layer but the last, each its own tape node. The fused op must
+    give the same output, gradients and dropout draws bit for bit.
+    """
+    z = state["mlp.z0"]
+    if rows is not None:
+        z = ad.gather_rows(z, rows)
+    for layer in range(cfg.mlp_layers):
+        z = _relu(ad.add(ad.matmul(z, state[f"mlp.w{layer}"]), state[f"mlp.b{layer}"]))
+        if training and layer < cfg.mlp_layers - 1:
+            z = _dropout(z, cfg.dropout_p, rng, training)
+    return z
+
+
+# ---------------------------------------------------------------------------
 # attention reference
 
 def _transpose(a):
@@ -216,8 +249,8 @@ def reference_attention_fuse(z_p, z_n, state, cfg, training=False, rng=None):
     """
     w_t = _transpose(state["attn.w"])
     b_row = _transpose(state["attn.b"])
-    zp_in = ad.dropout(z_p, cfg.dropout_p, rng, training)
-    zn_in = ad.dropout(z_n, cfg.dropout_p, rng, training)
+    zp_in = _dropout(z_p, cfg.dropout_p, rng, training)
+    zn_in = _dropout(z_n, cfg.dropout_p, rng, training)
     score_p = ad.matmul(_tanh(ad.add(ad.matmul(zp_in, w_t), b_row)), state["attn.q"])
     score_n = ad.matmul(_tanh(ad.add(ad.matmul(zn_in, w_t), b_row)), state["attn.q"])
     alpha_p = _sigmoid(_sub(score_p, score_n))
@@ -270,18 +303,19 @@ def reference_l2_penalty(tensors, lam):
 
 def reference_batch_loss(adjs, state, cfg, tcfg, num_users, batch, rng):
     """One step's loss with ``np.unique`` rows, whole-graph LightGCN
-    propagation, the attention as a chain of nodes and the penalty as a tape
-    node."""
+    propagation, the MLP and the attention as chains of nodes and the penalty
+    as a tape node."""
     nodes = np.concatenate([batch.users, num_users + batch.items,
                             num_users + batch.negatives])
     rows, local = np.unique(nodes, return_inverse=True)
     users, items, negatives = np.split(local, 3)
-    originals = ad.spmm_power_mean, model.attention_fuse
-    ad.spmm_power_mean, model.attention_fuse = reference_spmm_power_mean, reference_attention_fuse
+    originals = ad.spmm_power_mean, model.mlp_forward, model.attention_fuse
+    ad.spmm_power_mean, model.mlp_forward, model.attention_fuse = (
+        reference_spmm_power_mean, reference_mlp_forward, reference_attention_fuse)
     try:
         z, *_ = forward_tensors(adjs, state, cfg, training=True, rng=rng, rows=rows)
     finally:
-        ad.spmm_power_mean, model.attention_fuse = originals
+        ad.spmm_power_mean, model.mlp_forward, model.attention_fuse = originals
     terms = triple_loss_terms(z, 0, TrainingTriples(users, items, negatives, batch.signs),
                               tcfg.c, tcfg.loss)
     total = ad.reduce_sum(terms)

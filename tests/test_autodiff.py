@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from signrec import autodiff as ad
 from signrec.autodiff import Tensor
 
-from helpers import _sigmoid, _tanh, _transpose
+from helpers import _relu, _sigmoid, _tanh, _transpose
 
 
 def finite_difference(fn, params, h=1e-6):
@@ -63,7 +63,7 @@ def test_spmm():
     check_op(lambda: ad.reduce_sum(ad.mul(ad.spmm(mat, x), x)), [x])
 
 
-@pytest.mark.parametrize("op", [ad.relu, pytest.param(_tanh, id="tanh"),
+@pytest.mark.parametrize("op", [pytest.param(_relu, id="relu"), pytest.param(_tanh, id="tanh"),
                                 pytest.param(_sigmoid, id="sigmoid"),
                                 lambda t: ad.leaky_relu(t, 0.1)])
 def test_unary_ops(op):
@@ -105,6 +105,23 @@ def test_attention_fuse_matches_finite_differences():
         return ad.reduce_sum(ad.mul(out, weights))
 
     check_op(build, [z_p, z_n, w, q, b])
+
+
+@pytest.mark.parametrize("rows", [None, np.array([0, 2, 3])])
+def test_mlp_matches_finite_differences(rows):
+    # three layers, dropout on after the first two, with the same masks in
+    # every evaluation; biases offset away from the ReLU kink
+    x = _param(rng, 5, 3)
+    layers = [(_param(rng, 3, 4), Tensor(rng.standard_normal((1, 4)) + 0.5, requires_grad=True)),
+              (_param(rng, 4, 4), Tensor(rng.standard_normal((1, 4)) + 0.5, requires_grad=True)),
+              (_param(rng, 4, 2), Tensor(rng.standard_normal((1, 2)) + 0.5, requires_grad=True))]
+    weights = rng.standard_normal((5 if rows is None else len(rows), 2))
+
+    def build():
+        out = ad.mlp(x, rows, layers, 0.3, np.random.default_rng(5), True)
+        return ad.reduce_sum(ad.mul(out, weights))
+
+    check_op(build, [x, *(t for pair in layers for t in pair)])
 
 
 def test_gather_rows_scatter_add():
@@ -216,9 +233,9 @@ def test_backward_requires_scalar():
 
 
 def test_dropout_inverted_scaling():
-    x = Tensor(np.ones((1000, 1)), requires_grad=True)
-    out = ad.dropout(x, 0.5, np.random.default_rng(0), training=True)
-    kept = out.value[out.value > 0]
+    mask = ad._dropout_mask((1000, 1), 0.5, np.random.default_rng(0), training=True)
+    kept = mask[mask > 0]
     assert np.allclose(kept, 2.0)          # 1/(1-p) scaling
     assert abs(kept.size / 1000 - 0.5) < 0.08
-    assert ad.dropout(x, 0.5, None, training=False) is x
+    assert ad._dropout_mask((1000, 1), 0.5, None, training=False) is None
+    assert ad._dropout_mask((1000, 1), 0.0, None, training=True) is None

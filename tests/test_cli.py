@@ -176,6 +176,15 @@ def test_bad_manifest_row_names_file_and_line(dataset_path, tmp_path, capsys, ro
     assert f"{manifest}: line 2:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rating", ["x", "7"])
+def test_bad_dataset_row_names_file_and_line(tmp_path, capsys, rating):
+    path = tmp_path / "bad.tsv"
+    path.write_text(f"1\t1\t4\t0\n2\t1\t{rating}\t0\n")
+    assert main(["split", "--dataset", str(path), "--folds", "2",
+                 "--out", str(tmp_path / "runs")]) == EXIT_DATA
+    assert f"{path}: line 2:" in capsys.readouterr().err
+
+
 def test_variant_tags_run_directory(dataset_path, tmp_path):
     out = str(tmp_path / "runs")
     assert main(["split"] + base_args(dataset_path, out)) == EXIT_OK
@@ -277,6 +286,7 @@ def test_config_file_unknown_key_or_bad_value_is_usage_error(dataset_path, tmp_p
     ["--n-neg", "0"], ["--c", "0.5"], ["--dim", "0"], ["--k", "0"],
     ["--lr", "-1"], ["--lr", "0"], ["--lr", "nan"], ["--lr", "inf"], ["--lambda-reg", "-1"],
     ["--w-o", "9"], ["--w-o", "5"], ["--w-o", "1"], ["--w-o", "0"], ["--checkpoint-every", "-1"],
+    ["--min-interactions", "-1"],
 ])
 def test_flags_that_cannot_work_are_usage_errors(dataset_path, tmp_path, flags):
     out = str(tmp_path / "runs")

@@ -16,7 +16,7 @@ from signrec.rng import substream
 
 from helpers import (
     dense_adjacency, dense_propagate_reference, random_records, reference_attention_fuse,
-    toy_descriptor,
+    reference_mlp_forward, toy_descriptor,
 )
 
 
@@ -120,6 +120,47 @@ def test_relu_clamps_negative_preactivation():
                          "mlp.w0": np.array([[-0.5, 1.0], [-0.5, 1.0]]),
                          "mlp.b0": np.zeros((1, 2))})
     assert np.allclose(mlp_forward(state, cfg).value, [[0.0, 2.0]])
+
+
+@pytest.mark.parametrize("mlp_layers", [1, 2, 3])
+@pytest.mark.parametrize("p", [0.0, 0.3])
+@pytest.mark.parametrize("training", [False, True])
+def test_fused_mlp_matches_reference_chain(mlp_layers, p, training):
+    """Output, the gradients of mlp.z0 and every w and b, and the dropout
+    draws equal the chain's bit for bit, over the whole table and its rows."""
+    for backbone in ("lightgcn", "ngcf"):
+        cfg = ModelConfig(backbone=backbone, dim=4, gnn_layers=2, mlp_layers=mlp_layers,
+                          dropout_p=p)
+        init = init_state(cfg, 5, 6, substream(7, "init"))
+        names = [n for n in init.names() if n.startswith("mlp.")]
+        gen = np.random.default_rng(16)
+        for k in range(mlp_layers):
+            init[f"mlp.b{k}"].value[:] = gen.standard_normal(init[f"mlp.b{k}"].shape)
+            init[f"mlp.b{k}"].value[0, 0] = 0.0
+        # a pre-activation of exactly zero, and a signed zero in the input
+        init["mlp.z0"].value[0] = 0.0
+        init["mlp.z0"].value[1, 0] = -0.0
+        for rows in (None, np.array([0, 1, 4, 7, 10])):
+            n_out = 11 if rows is None else len(rows)
+            weights = gen.standard_normal((n_out, cfg.output_dim))
+            outs = []
+            for op in (mlp_forward, reference_mlp_forward):
+                state = ModelState({n: Tensor(init[n].value.copy(), requires_grad=True)
+                                    for n in names})
+                rng = substream(7, "dropout")
+                z = op(state, cfg, training, rng, rows)
+                ad.reduce_sum(ad.mul(z, ad.constant(weights))).backward()
+                outs.append([z.value.tobytes()] + [t.grad.tobytes() for t in state.tensors()]
+                            + [rng.bit_generator.state])
+            assert outs[0] == outs[1], (backbone, rows)
+
+
+def test_mlp_forward_is_one_tape_node():
+    cfg = ModelConfig(dim=3, mlp_layers=3, dropout_p=0.5)
+    state = init_state(cfg, 2, 3, substream(1, "init"))
+    z = mlp_forward(state, cfg, True, substream(1, "dropout"), np.array([0, 2]))
+    assert z._parents == (state["mlp.z0"], *(state[f"mlp.{t}{k}"] for k in range(3)
+                                             for t in "wb"))
 
 
 def attn_state(rng, d_out, d_attn, zero_w=False):
