@@ -1,12 +1,12 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Just enough ops for this model family: dense/sparse matrix products, add and
-multiply with broadcasting, LeakyReLU, row gathering, concatenation and
-reductions, plus four fused ops with hand-written backwards: LightGCN's layer
-aggregation, the negative path's MLP and dropout, the attention fusion of the
-two embedding paths, and the sign-aware pairwise ranking terms. The L2 penalty
-is not a tape op: ``signrec.train`` adds its value to the loss and its
-gradient in the optimizer step.
+Just enough ops for this model family: add with broadcasting, a sum, a
+sparse-constant product, and five fused ops with hand-written backwards:
+LightGCN's layer aggregation, LR-GCCF's and NGCF's concatenated layers, the
+negative path's MLP and dropout, the attention fusion of the two embedding
+paths, and the sign-aware pairwise ranking terms. The L2 penalty is not a tape
+op: ``signrec.train`` adds its value to the loss and its gradient in the
+optimizer step.
 Values are kept in float64 so analytic gradients can be validated against
 central finite differences.
 """
@@ -100,36 +100,9 @@ def add(a, b) -> Tensor:
     return out
 
 
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.value * b.value, parents=(a, b))
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(grad * b.value, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(grad * a.value, b.shape))
-
-    out._backward = backward
-    return out
-
-
-def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.value @ b.value, parents=(a, b))
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad @ b.value.T)
-        if b.requires_grad:
-            b._accumulate(a.value.T @ grad)
-
-    out._backward = backward
-    return out
-
-
 def spmm(matrix: sp.spmatrix, x: Tensor) -> Tensor:
-    """Sparse-constant @ dense-tensor product."""
+    """Sparse-constant @ dense-tensor product. The model's backbones are fused
+    ops and do not call it; the test oracles and the benchmark's tracer do."""
     out = Tensor(matrix @ x.value, parents=(x,))
 
     def backward(grad):
@@ -151,7 +124,7 @@ def spmm_power_mean(matrix: sp.spmatrix, x: Tensor, layers: int, rows=None) -> T
     those rows only. The forward's last product is then ``matrix[rows] @
     h``, and the backward's first is ``matrix[rows].T @ grad``, so neither
     touches a row the output does not need. For a CSR ``matrix`` with sorted
-    indices, both equal the full op followed by ``gather_rows`` bit for bit:
+    indices, both equal the full op followed by a gather of ``rows`` bit for bit:
     each output row sums the same non-zero terms in the same order, and the
     backward adds the gradient rows where the full op's zero-filled table
     holds them, ``((g + h1) + h2) + h3``.
@@ -185,30 +158,60 @@ def spmm_power_mean(matrix: sp.spmatrix, x: Tensor, layers: int, rows=None) -> T
     return out
 
 
-def leaky_relu(a: Tensor, alpha: float) -> Tensor:
-    out = Tensor(np.where(a.value > 0, a.value, alpha * a.value), parents=(a,))
+def concat_propagate(matrix: sp.spmatrix, h0: Tensor, weights: list, backbone: str,
+                     alpha: float, rows=None) -> Tensor:
+    """LR-GCCF's or NGCF's layers over ``h0``, concatenated, as one tape node.
 
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad * np.where(a.value > 0, 1.0, alpha))
-
-    out._backward = backward
-    return out
-
-
-def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Rows ``a[idx]`` for an index array without repeats.
-
-    The backward assigns each gradient row back to its source row.
+    With ``ah = matrix @ h``, an LR-GCCF layer is ``ah @ w`` for each ``w``
+    of ``weights``; an NGCF layer is LeakyReLU, slope ``alpha``, of ``(h +
+    ah) @ w1 + (h * ah) @ w2`` for each pair ``(w1, w2)``. The output is
+    ``h0`` and every layer side by side, or its ``rows`` only. The backward
+    repeats the chain of spmm, matmul, add, mul, LeakyReLU, concat and
+    row-gather nodes in its order: a layer's input adds its own slice of the
+    gradient, then NGCF's ``h + ah`` and ``h * ah`` terms, then the sparse
+    product's term. Outputs and gradients equal the chain's bit for bit.
     """
-    idx = np.asarray(idx)
-    out = Tensor(a.value[idx], parents=(a,))
+    ngcf = backbone == "ngcf"
+    hs, saved = [h0.value], []
+    for w in weights:
+        h = hs[-1]
+        ah = matrix @ h
+        if ngcf:
+            s, m = h + ah, h * ah
+            pre = s @ w[0].value + m @ w[1].value
+            hs.append(np.where(pre > 0, pre, alpha * pre))
+            saved.append((ah, s, m, pre))
+        else:
+            hs.append(ah @ w.value)
+            saved.append(ah)
+    z = np.concatenate(hs, axis=1)
+    idx = None if rows is None else np.asarray(rows)
+    params = [t for w in weights for t in (w if ngcf else (w,))]
+    out = Tensor(z if idx is None else z[idx], parents=(h0, *params))
 
     def backward(grad):
-        if a.requires_grad:
-            full = np.zeros_like(a.value)
+        if idx is not None:
+            full = np.zeros_like(z)
             full[idx] = grad
-            a._accumulate(full)
+            grad = full
+        d = h0.shape[1]
+        g = np.take(grad, range(len(weights) * d, z.shape[1]), axis=1)
+        for k in reversed(range(len(weights))):
+            h, w, own = hs[k], weights[k], np.take(grad, range(k * d, (k + 1) * d), axis=1)
+            if ngcf:
+                ah, s, m, pre = saved[k]
+                g_pre = g * np.where(pre > 0, 1.0, alpha)
+                g_s, g_m = g_pre @ w[0].value.T, g_pre @ w[1].value.T
+                terms = ((w[0], s.T @ g_pre), (w[1], m.T @ g_pre))
+                g = ((own + g_s) + g_m * ah) + matrix.T @ (g_s + g_m * h)
+            else:
+                terms = ((w, saved[k].T @ g),)
+                g = own + matrix.T @ (g @ w.value.T)
+            for t, g_t in terms:
+                if t.requires_grad:
+                    t._accumulate(g_t)
+        if h0.requires_grad:
+            h0._accumulate(g)
 
     out._backward = backward
     return out
@@ -352,21 +355,6 @@ def reduce_sum(a: Tensor, axis=None) -> Tensor:
                 a._accumulate(np.broadcast_to(grad, a.shape).copy())
             else:
                 a._accumulate(np.broadcast_to(np.expand_dims(grad, axis), a.shape).copy())
-
-    out._backward = backward
-    return out
-
-
-def concat(tensors: list, axis: int = 1) -> Tensor:
-    out = Tensor(np.concatenate([t.value for t in tensors], axis=axis),
-                 parents=tuple(tensors))
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(grad):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                t._accumulate(np.take(grad, range(lo, hi), axis=axis))
 
     out._backward = backward
     return out

@@ -7,6 +7,7 @@ are the flag names); explicit flags win, and an unknown key is a usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import logging
@@ -218,6 +219,16 @@ def _manifest_dir(cfg: ExperimentConfig) -> str:
     return os.path.join(cfg.out, f"{stem}-folds-k{cfg.k_folds}-seed{cfg.seed}")
 
 
+@contextlib.contextmanager
+def _manifest_ids(directory: str):
+    """Report an id of the manifests that the loaded dataset lacks as a data error."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{directory}: the manifests name {exc.args[0]!r}, which the dataset "
+                         "as loaded does not hold; split it again with the same flags") from None
+
+
 def cmd_split(args, cfg: ExperimentConfig) -> int:
     records, _ = _load_dataset(cfg)
     folds = data_mod.kfold_split(records, cfg.k_folds, cfg.seed)
@@ -245,7 +256,8 @@ def cmd_train(args, cfg: ExperimentConfig) -> int:
     folds = data_mod.read_fold_manifests(directory, cfg.k_folds)
     fold = folds[args.fold]
 
-    g = build_signed_graph(fold.train, descriptor, cfg.w_o)
+    with _manifest_ids(directory):
+        g = build_signed_graph(fold.train, descriptor, cfg.w_o)
     run_dir = run_dir_name(cfg, args.fold)
     for sub in ("checkpoints", "logs", "reports"):
         os.makedirs(os.path.join(run_dir, sub), exist_ok=True)
@@ -292,8 +304,9 @@ def cmd_evaluate(args, cfg: ExperimentConfig) -> int:
         embeddings = np.load(os.path.join(run_dir, "embeddings.npy"))
         if embeddings.shape[0] != descriptor.num_users + descriptor.num_items:
             raise ValueError(f"{run_dir}: embeddings do not match dataset dimensions")
-        truth = eval_mod.ground_truth(fold.test, descriptor)
-        exclude = eval_mod.train_interactions(fold.train, descriptor)
+        with _manifest_ids(directory):
+            truth = eval_mod.ground_truth(fold.test, descriptor)
+            exclude = eval_mod.train_interactions(fold.train, descriptor)
         try:
             report = eval_mod.evaluate(embeddings, descriptor.num_users, truth, exclude,
                                        cfg.ks, groups=args.groups)

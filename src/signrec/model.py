@@ -110,7 +110,9 @@ def init_state(cfg: ModelConfig, num_users: int, num_items: int,
 
 def propagate(adj: NormalizedAdjacency, state: ModelState, cfg: ModelConfig,
               prefix: str = "gnn", rows=None) -> Tensor:
-    """Run backbone propagation and layer aggregation over one adjacency.
+    """Run backbone propagation and layer aggregation over one adjacency, as
+    one tape node: ``ad.spmm_power_mean`` for LightGCN, ``ad.concat_propagate``
+    for LR-GCCF and NGCF.
 
     With ``rows``, an array of unique node indices, the output holds those
     rows only. LightGCN then restricts its outermost products to them; the
@@ -121,20 +123,12 @@ def propagate(adj: NormalizedAdjacency, state: ModelState, cfg: ModelConfig,
     h = state[f"{prefix}.h0"]
     if cfg.backbone == "lightgcn":
         return ad.spmm_power_mean(adj.matrix, h, cfg.gnn_layers, rows)
-    layers = [h]
-    for layer in range(cfg.gnn_layers):
-        if cfg.backbone == "lrgccf":
-            h = ad.matmul(ad.spmm(adj.matrix, h), state[f"{prefix}.w{layer}"])
-        else:
-            # ngcf: self transform plus normalized neighbor sum with an
-            # elementwise interaction term, under LeakyReLU.
-            ah = ad.spmm(adj.matrix, h)
-            linear = ad.matmul(ad.add(h, ah), state[f"{prefix}.w1.{layer}"])
-            interact = ad.matmul(ad.mul(h, ah), state[f"{prefix}.w2.{layer}"])
-            h = ad.leaky_relu(ad.add(linear, interact), cfg.leaky_relu_alpha)
-        layers.append(h)
-    z = ad.concat(layers, axis=1)
-    return z if rows is None else ad.gather_rows(z, rows)
+    if cfg.backbone == "lrgccf":
+        weights = [state[f"{prefix}.w{k}"] for k in range(cfg.gnn_layers)]
+    else:
+        weights = [(state[f"{prefix}.w1.{k}"], state[f"{prefix}.w2.{k}"])
+                   for k in range(cfg.gnn_layers)]
+    return ad.concat_propagate(adj.matrix, h, weights, cfg.backbone, cfg.leaky_relu_alpha, rows)
 
 
 def mlp_forward(state: ModelState, cfg: ModelConfig, training: bool = False,

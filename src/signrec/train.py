@@ -48,8 +48,8 @@ class TrainConfig:
     positive_edges_only: bool = False  # baseline mode: drop negative edges
 
     def __post_init__(self):
-        if self.c <= 1.0:
-            raise ValueError("c must be > 1")
+        if not (math.isfinite(self.c) and self.c > 1.0):
+            raise ValueError("c must be finite and > 1")
         if min(self.epochs, self.n_neg, self.batch_size) < 1:
             raise ValueError("epochs, n_neg and batch_size must be >= 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -358,6 +358,8 @@ def train(g: SignedBipartiteGraph, cfg: ModelConfig, tcfg: TrainConfig,
     state = init_state(cfg, g.num_users, g.num_items, substream(tcfg.seed, "init"))
     optimizer = Adam(state, tcfg.learning_rate, tcfg.lambda_reg)
     sampler = NegativeSampler(g, tcfg.n_neg)
+    if not len(sampler.users):
+        raise ValueError("no training triples: every user is adjacent to every samplable item")
 
     history = []
     for epoch in range(tcfg.epochs):

@@ -80,6 +80,107 @@ def dense_propagate_reference(A, state, cfg, prefix="gnn"):
 
 
 # ---------------------------------------------------------------------------
+# generic tape nodes and the LR-GCCF / NGCF propagation chain
+
+def _mul(a, b):
+    """Tape node for ``a * b`` with broadcasting; either side may be a constant."""
+    a, b = ad._as_tensor(a), ad._as_tensor(b)
+    out = Tensor(a.value * b.value, parents=(a, b))
+
+    def backward(grad):
+        if a.requires_grad:
+            a._accumulate(ad._unbroadcast(grad * b.value, a.shape))
+        if b.requires_grad:
+            b._accumulate(ad._unbroadcast(grad * a.value, b.shape))
+
+    out._backward = backward
+    return out
+
+
+def _matmul(a, b):
+    """Tape node for ``a @ b``."""
+    a, b = ad._as_tensor(a), ad._as_tensor(b)
+    out = Tensor(a.value @ b.value, parents=(a, b))
+
+    def backward(grad):
+        if a.requires_grad:
+            a._accumulate(grad @ b.value.T)
+        if b.requires_grad:
+            b._accumulate(a.value.T @ grad)
+
+    out._backward = backward
+    return out
+
+
+def _leaky_relu(a, alpha):
+    """Tape node for LeakyReLU with slope ``alpha`` below zero."""
+    out = Tensor(np.where(a.value > 0, a.value, alpha * a.value), parents=(a,))
+
+    def backward(grad):
+        if a.requires_grad:
+            a._accumulate(grad * np.where(a.value > 0, 1.0, alpha))
+
+    out._backward = backward
+    return out
+
+
+def _gather_rows(a, idx):
+    """Tape node for ``a[idx]``, ``idx`` without repeats; the backward assigns
+    each gradient row to its source row of a zero-filled table."""
+    idx = np.asarray(idx)
+    out = Tensor(a.value[idx], parents=(a,))
+
+    def backward(grad):
+        if a.requires_grad:
+            full = np.zeros_like(a.value)
+            full[idx] = grad
+            a._accumulate(full)
+
+    out._backward = backward
+    return out
+
+
+def _concat(tensors, axis=1):
+    """Tape node for ``np.concatenate``; each input takes its slice of the gradient."""
+    out = Tensor(np.concatenate([t.value for t in tensors], axis=axis), parents=tuple(tensors))
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
+
+    def backward(grad):
+        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+            if t.requires_grad:
+                t._accumulate(np.take(grad, range(lo, hi), axis=axis))
+
+    out._backward = backward
+    return out
+
+
+def reference_propagate(adj, state, cfg, prefix="gnn", rows=None):
+    """Chain-of-nodes form of ``signrec.model.propagate`` for LR-GCCF and NGCF.
+
+    A sparse product and a matmul per LR-GCCF layer; a sparse product, two
+    adds, a product, two matmuls and LeakyReLU per NGCF layer; then the
+    concatenation and the row gather, each its own tape node. The fused op
+    must give the same output and gradients bit for bit. LightGCN goes to
+    ``ad.spmm_power_mean`` as in the model.
+    """
+    h = state[f"{prefix}.h0"]
+    if cfg.backbone == "lightgcn":
+        return ad.spmm_power_mean(adj.matrix, h, cfg.gnn_layers, rows)
+    layers = [h]
+    for layer in range(cfg.gnn_layers):
+        if cfg.backbone == "lrgccf":
+            h = _matmul(ad.spmm(adj.matrix, h), state[f"{prefix}.w{layer}"])
+        else:
+            ah = ad.spmm(adj.matrix, h)
+            linear = _matmul(ad.add(h, ah), state[f"{prefix}.w1.{layer}"])
+            interact = _matmul(_mul(h, ah), state[f"{prefix}.w2.{layer}"])
+            h = _leaky_relu(ad.add(linear, interact), cfg.leaky_relu_alpha)
+        layers.append(h)
+    z = _concat(layers, axis=1)
+    return z if rows is None else _gather_rows(z, rows)
+
+
+# ---------------------------------------------------------------------------
 # negative-sampler reference
 
 def reference_sample_negatives(g, n_neg, rng):
@@ -168,14 +269,14 @@ def reference_triple_loss_terms(z, num_users, triples, c, loss):
     z_u = _gather_repeated(z, triples.users)
     z_i = _gather_repeated(z, num_users + triples.items)
     z_j = _gather_repeated(z, num_users + triples.negatives)
-    r_ui = ad.reduce_sum(ad.mul(z_u, z_i), axis=1)
-    r_uj = ad.reduce_sum(ad.mul(z_u, z_j), axis=1)
+    r_ui = ad.reduce_sum(_mul(z_u, z_i), axis=1)
+    r_uj = ad.reduce_sum(_mul(z_u, z_j), axis=1)
     if loss == "standard-bpr":
         coef = np.ones(len(triples))
     else:
         coef = np.where(triples.signs < 0, c, 1.0)
-    margin = _sub(ad.mul(r_ui, ad.constant(coef)), r_uj)
-    return _softplus(ad.mul(margin, -1.0))
+    margin = _sub(_mul(r_ui, ad.constant(coef)), r_uj)
+    return _softplus(_mul(margin, -1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +292,7 @@ def _relu(a):
 def _dropout(a, p, rng, training):
     """Inverted dropout as a product with a constant mask from ``ad._dropout_mask``."""
     mask = ad._dropout_mask(a.shape, p, rng, training)
-    return a if mask is None else ad.mul(a, ad.constant(mask))
+    return a if mask is None else _mul(a, ad.constant(mask))
 
 
 def reference_mlp_forward(state, cfg, training=False, rng=None, rows=None):
@@ -203,9 +304,9 @@ def reference_mlp_forward(state, cfg, training=False, rng=None, rows=None):
     """
     z = state["mlp.z0"]
     if rows is not None:
-        z = ad.gather_rows(z, rows)
+        z = _gather_rows(z, rows)
     for layer in range(cfg.mlp_layers):
-        z = _relu(ad.add(ad.matmul(z, state[f"mlp.w{layer}"]), state[f"mlp.b{layer}"]))
+        z = _relu(ad.add(_matmul(z, state[f"mlp.w{layer}"]), state[f"mlp.b{layer}"]))
         if training and layer < cfg.mlp_layers - 1:
             z = _dropout(z, cfg.dropout_p, rng, training)
     return z
@@ -251,11 +352,11 @@ def reference_attention_fuse(z_p, z_n, state, cfg, training=False, rng=None):
     b_row = _transpose(state["attn.b"])
     zp_in = _dropout(z_p, cfg.dropout_p, rng, training)
     zn_in = _dropout(z_n, cfg.dropout_p, rng, training)
-    score_p = ad.matmul(_tanh(ad.add(ad.matmul(zp_in, w_t), b_row)), state["attn.q"])
-    score_n = ad.matmul(_tanh(ad.add(ad.matmul(zn_in, w_t), b_row)), state["attn.q"])
+    score_p = _matmul(_tanh(ad.add(_matmul(zp_in, w_t), b_row)), state["attn.q"])
+    score_n = _matmul(_tanh(ad.add(_matmul(zn_in, w_t), b_row)), state["attn.q"])
     alpha_p = _sigmoid(_sub(score_p, score_n))
     alpha_n = _sigmoid(_sub(score_n, score_p))
-    fused = ad.add(ad.mul(alpha_p, z_p), ad.mul(alpha_n, z_n))
+    fused = ad.add(_mul(alpha_p, z_p), _mul(alpha_n, z_n))
     return alpha_p, alpha_n, fused
 
 
@@ -280,7 +381,7 @@ def reference_spmm_power_mean(matrix, x, layers, rows=None):
 
     out = Tensor(power_mean(x.value), parents=(x,))
     out._backward = lambda grad: x._accumulate(power_mean(grad))
-    return out if rows is None else ad.gather_rows(out, rows)
+    return out if rows is None else _gather_rows(out, rows)
 
 
 def reference_l2_penalty(tensors, lam):
@@ -303,19 +404,20 @@ def reference_l2_penalty(tensors, lam):
 
 def reference_batch_loss(adjs, state, cfg, tcfg, num_users, batch, rng):
     """One step's loss with ``np.unique`` rows, whole-graph LightGCN
-    propagation, the MLP and the attention as chains of nodes and the penalty
-    as a tape node."""
+    propagation, the LR-GCCF and NGCF layers, the MLP and the attention as
+    chains of nodes and the penalty as a tape node."""
     nodes = np.concatenate([batch.users, num_users + batch.items,
                             num_users + batch.negatives])
     rows, local = np.unique(nodes, return_inverse=True)
     users, items, negatives = np.split(local, 3)
-    originals = ad.spmm_power_mean, model.mlp_forward, model.attention_fuse
-    ad.spmm_power_mean, model.mlp_forward, model.attention_fuse = (
-        reference_spmm_power_mean, reference_mlp_forward, reference_attention_fuse)
+    originals = ad.spmm_power_mean, model.propagate, model.mlp_forward, model.attention_fuse
+    ad.spmm_power_mean, model.propagate, model.mlp_forward, model.attention_fuse = (
+        reference_spmm_power_mean, reference_propagate, reference_mlp_forward,
+        reference_attention_fuse)
     try:
         z, *_ = forward_tensors(adjs, state, cfg, training=True, rng=rng, rows=rows)
     finally:
-        ad.spmm_power_mean, model.mlp_forward, model.attention_fuse = originals
+        ad.spmm_power_mean, model.propagate, model.mlp_forward, model.attention_fuse = originals
     terms = triple_loss_terms(z, 0, TrainingTriples(users, items, negatives, batch.signs),
                               tcfg.c, tcfg.loss)
     total = ad.reduce_sum(terms)

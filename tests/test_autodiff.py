@@ -5,7 +5,9 @@ import scipy.sparse as sp
 from signrec import autodiff as ad
 from signrec.autodiff import Tensor
 
-from helpers import _relu, _sigmoid, _tanh, _transpose
+from helpers import (
+    _concat, _gather_rows, _leaky_relu, _matmul, _mul, _relu, _sigmoid, _tanh, _transpose,
+)
 
 
 def finite_difference(fn, params, h=1e-6):
@@ -48,24 +50,24 @@ rng = np.random.default_rng(0)
 def test_add_mul_broadcast():
     a = _param(rng, 3, 4)
     b = _param(rng, 1, 4)  # broadcast over rows
-    check_op(lambda: ad.reduce_sum(ad.mul(ad.add(a, b), a)), [a, b])
+    check_op(lambda: ad.reduce_sum(_mul(ad.add(a, b), a)), [a, b])
 
 
 def test_matmul_transpose():
     a = _param(rng, 3, 4)
     w = _param(rng, 2, 4)
-    check_op(lambda: ad.reduce_sum(ad.matmul(a, _transpose(w))), [a, w])
+    check_op(lambda: ad.reduce_sum(_matmul(a, _transpose(w))), [a, w])
 
 
 def test_spmm():
     mat = sp.random(5, 5, density=0.4, random_state=1, format="csr")
     x = _param(rng, 5, 3)
-    check_op(lambda: ad.reduce_sum(ad.mul(ad.spmm(mat, x), x)), [x])
+    check_op(lambda: ad.reduce_sum(_mul(ad.spmm(mat, x), x)), [x])
 
 
 @pytest.mark.parametrize("op", [pytest.param(_relu, id="relu"), pytest.param(_tanh, id="tanh"),
                                 pytest.param(_sigmoid, id="sigmoid"),
-                                lambda t: ad.leaky_relu(t, 0.1)])
+                                lambda t: _leaky_relu(t, 0.1)])
 def test_unary_ops(op):
     # offset away from the ReLU kink so finite differences are clean
     x = Tensor(rng.standard_normal((4, 3)) + 0.2, requires_grad=True)
@@ -102,7 +104,7 @@ def test_attention_fuse_matches_finite_differences():
 
     def build():
         *_, out = ad.attention_fuse(z_p, z_n, w, q, b, 0.3, np.random.default_rng(5), True)
-        return ad.reduce_sum(ad.mul(out, weights))
+        return ad.reduce_sum(_mul(out, weights))
 
     check_op(build, [z_p, z_n, w, q, b])
 
@@ -119,7 +121,7 @@ def test_mlp_matches_finite_differences(rows):
 
     def build():
         out = ad.mlp(x, rows, layers, 0.3, np.random.default_rng(5), True)
-        return ad.reduce_sum(ad.mul(out, weights))
+        return ad.reduce_sum(_mul(out, weights))
 
     check_op(build, [x, *(t for pair in layers for t in pair)])
 
@@ -127,21 +129,21 @@ def test_mlp_matches_finite_differences(rows):
 def test_gather_rows_scatter_add():
     # two gathers of one tensor whose rows overlap add up in the source rows
     x = _param(rng, 5, 2)
-    check_op(lambda: ad.reduce_sum(ad.mul(ad.gather_rows(x, np.array([0, 2, 4])),
-                                          ad.gather_rows(x, np.array([2, 4, 1])))), [x])
+    check_op(lambda: ad.reduce_sum(_mul(_gather_rows(x, np.array([0, 2, 4])),
+                                       _gather_rows(x, np.array([2, 4, 1])))), [x])
 
 
 def test_reduce_sum_axis():
     x = _param(rng, 4, 3)
-    check_op(lambda: ad.reduce_sum(ad.mul(ad.reduce_sum(x, axis=1),
-                                          ad.reduce_sum(x, axis=1))), [x])
+    check_op(lambda: ad.reduce_sum(_mul(ad.reduce_sum(x, axis=1),
+                                       ad.reduce_sum(x, axis=1))), [x])
 
 
 def test_concat():
     a = _param(rng, 3, 2)
     b = _param(rng, 3, 4)
-    check_op(lambda: ad.reduce_sum(ad.mul(ad.concat([a, b], axis=1),
-                                          ad.concat([a, b], axis=1))), [a, b])
+    check_op(lambda: ad.reduce_sum(_mul(_concat([a, b], axis=1),
+                                       _concat([a, b], axis=1))), [a, b])
 
 
 def test_spmm_power_mean():
@@ -153,7 +155,7 @@ def test_spmm_power_mean():
     a = mat.toarray()
     expected = (x.value + a @ x.value + a @ a @ x.value + a @ a @ a @ x.value) / 4
     assert np.allclose(out, expected, rtol=1e-12, atol=1e-12)
-    check_op(lambda: ad.reduce_sum(ad.mul(ad.spmm_power_mean(mat, x, 3), x)), [x])
+    check_op(lambda: ad.reduce_sum(_mul(ad.spmm_power_mean(mat, x, 3), x)), [x])
 
 
 @pytest.mark.parametrize("layers", [1, 2, 3])
@@ -180,16 +182,34 @@ def test_spmm_power_mean_rows_match_full_then_gather(layers):
         for op in (ad.spmm_power_mean, reference_spmm_power_mean):
             x = Tensor(value.copy(), requires_grad=True)
             out = op(sym, x, layers, rows)
-            ad.reduce_sum(ad.mul(out, ad.constant(weights))).backward()
+            ad.reduce_sum(_mul(out, ad.constant(weights))).backward()
             outs.append((out.value.tobytes(), x.grad.tobytes()))
         assert outs[0] == outs[1], rows
+
+
+@pytest.mark.parametrize("backbone", ["lrgccf", "ngcf"])
+@pytest.mark.parametrize("rows", [None, np.array([1, 2, 5])])
+def test_concat_propagate_matches_finite_differences(backbone, rows):
+    # a symmetric sparse matrix with self-loops, two layers
+    dense = rng.standard_normal((6, 6))
+    mat = sp.csr_matrix(np.where(np.abs(dense + dense.T) > 1.0, (dense + dense.T) / 4, 0.0))
+    x = _param(rng, 6, 3)
+    if backbone == "ngcf":
+        weights = [(_param(rng, 3, 3), _param(rng, 3, 3)) for _ in range(2)]
+        params = [t for pair in weights for t in pair]
+    else:
+        weights = params = [_param(rng, 3, 3) for _ in range(2)]
+    out_weights = rng.standard_normal((6 if rows is None else len(rows), 9))
+    check_op(lambda: ad.reduce_sum(_mul(ad.concat_propagate(mat, x, weights, backbone, 0.1,
+                                                             rows), out_weights)),
+             [x, *params])
 
 
 def test_gather_unique_rows_assigns():
     x = _param(rng, 6, 2)
     idx = np.array([4, 0, 3])
     weights = rng.standard_normal((3, 2))
-    check_op(lambda: ad.reduce_sum(ad.mul(ad.gather_rows(x, idx), weights)), [x])
+    check_op(lambda: ad.reduce_sum(_mul(_gather_rows(x, idx), weights)), [x])
 
 
 @pytest.mark.parametrize("n", [255, 256, 257, 65535, 65536, 65537])
@@ -212,7 +232,7 @@ def test_shared_gradient_array_is_not_aliased():
     a = Tensor(np.ones(3), requires_grad=True)
     b = Tensor(np.ones(3), requires_grad=True)
     s = ad.add(a, b)
-    total = ad.reduce_sum(ad.add(ad.mul(s, 2.0), ad.mul(a, 5.0)))
+    total = ad.reduce_sum(ad.add(_mul(s, 2.0), _mul(a, 5.0)))
     total.backward()
     assert np.array_equal(a.grad, np.full(3, 7.0))
     assert np.array_equal(b.grad, np.full(3, 2.0))
@@ -220,8 +240,8 @@ def test_shared_gradient_array_is_not_aliased():
 
 def test_diamond_graph_accumulates_once():
     x = Tensor(np.array(2.0), requires_grad=True)
-    y = ad.mul(x, x)              # x^2
-    z = ad.add(y, ad.mul(y, 3.0))  # 4 x^2 -> dz/dx = 8x = 16
+    y = _mul(x, x)               # x^2
+    z = ad.add(y, _mul(y, 3.0))  # 4 x^2 -> dz/dx = 8x = 16
     z.backward()
     assert x.grad == pytest.approx(16.0)
 
@@ -229,7 +249,7 @@ def test_diamond_graph_accumulates_once():
 def test_backward_requires_scalar():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ValueError):
-        ad.mul(x, 2.0).backward()
+        _mul(x, 2.0).backward()
 
 
 def test_dropout_inverted_scaling():

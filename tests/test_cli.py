@@ -10,7 +10,9 @@ import signrec
 from signrec.cli import (
     EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main, read_config_file,
 )
-from signrec.data import build_descriptor, parse_ratings, read_fold_manifests
+from signrec.data import (
+    build_descriptor, filter_min_interactions, parse_ratings, read_fold_manifests,
+)
 from signrec.graph import build_signed_graph, partition
 from signrec.model import AdjacencySet, ModelConfig, forward_tensors, load_checkpoint
 
@@ -286,7 +288,7 @@ def test_config_file_unknown_key_or_bad_value_is_usage_error(dataset_path, tmp_p
     ["--n-neg", "0"], ["--c", "0.5"], ["--dim", "0"], ["--k", "0"],
     ["--lr", "-1"], ["--lr", "0"], ["--lr", "nan"], ["--lr", "inf"], ["--lambda-reg", "-1"],
     ["--w-o", "9"], ["--w-o", "5"], ["--w-o", "1"], ["--w-o", "0"], ["--checkpoint-every", "-1"],
-    ["--min-interactions", "-1"],
+    ["--min-interactions", "-1"], ["--c", "nan"], ["--c", "inf"],
 ])
 def test_flags_that_cannot_work_are_usage_errors(dataset_path, tmp_path, flags):
     out = str(tmp_path / "runs")
@@ -353,3 +355,46 @@ def test_diagnose_passes_on_fresh_checkout(capsys):
 def test_diagnose_detects_injected_gradient_bug(capsys):
     assert main(["diagnose", "--inject-gradient-bug", "0.5"]) == EXIT_NUMERICAL
     assert "[FAIL] gradient-check" in capsys.readouterr().out
+
+
+def test_training_with_no_triples_is_data_error(tmp_path, capsys):
+    # one user: in every fold it rates every item that has a training rating
+    path = tmp_path / "one.tsv"
+    path.write_text("".join(f"1\t{i}\t{r}\t0\n" for i, r in enumerate([5, 1, 4, 2])))
+    out = tmp_path / "runs"
+    args = ["--dataset", str(path), "--folds", "2", "--out", str(out)]
+    assert main(["split"] + args) == EXIT_OK
+    capsys.readouterr()
+    assert main(["train"] + args + ["--epochs", "1"]) == EXIT_DATA
+    assert "no training triples" in capsys.readouterr().err
+    assert not list(out.rglob("epochs.csv"))
+
+
+def test_manifests_of_another_filtering_are_data_errors(dataset_path, tmp_path, capsys):
+    # split without --min-interactions; a user and an item rated once then
+    # drop out of the dataset that --min-interactions 2 loads
+    path = tmp_path / "toy.tsv"
+    path.write_text(open(dataset_path).read() + "999\t998\t5\t0\n")
+    out = tmp_path / "runs"
+    args = base_args(str(path), str(out))
+    assert main(["split"] + args) == EXIT_OK
+    manifests = next(p for p in out.iterdir() if "folds" in p.name)
+    holder = next(f for f in range(3) if "999\t998" in (manifests / f"fold{f}.tsv").read_text())
+    filtered = build_descriptor(filter_min_interactions(parse_ratings(str(path)), 2))
+    assert "999" not in filtered.user_index and "998" not in filtered.item_index
+
+    capsys.readouterr()
+    fold = (holder + 1) % 3  # a fold whose training records hold the pair
+    code = main(train_args(str(path), str(out), fold=fold) + ["--min-interactions", "2"])
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert str(manifests) in err and ("'999'" in err or "'998'" in err)
+
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "config").write_text(json.dumps({"fold": holder}))
+    np.save(run / "embeddings.npy", np.zeros((filtered.num_users + filtered.num_items, 8)))
+    code = main(["evaluate"] + args + ["--min-interactions", "2", "--run", str(run)])
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert str(manifests) in err and ("'999'" in err or "'998'" in err)

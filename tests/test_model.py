@@ -15,8 +15,8 @@ from signrec.model import (
 from signrec.rng import substream
 
 from helpers import (
-    dense_adjacency, dense_propagate_reference, random_records, reference_attention_fuse,
-    reference_mlp_forward, toy_descriptor,
+    _mul, dense_adjacency, dense_propagate_reference, random_records, reference_attention_fuse,
+    reference_mlp_forward, reference_propagate, toy_descriptor,
 )
 
 
@@ -96,6 +96,41 @@ def test_isolated_node_lightgcn_keeps_scaled_h0():
     assert np.allclose(out[1], h0[1] / 3)  # isolated user: h0 survives only at layer 0
 
 
+@pytest.mark.parametrize("backbone", ["lrgccf", "ngcf"])
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_fused_propagation_matches_reference_chain(backbone, layers):
+    """Output and the gradients of h0 and every w equal the chain's bit for
+    bit, over the whole table and its rows."""
+    for seed in range(4):
+        parts = mixed_graph(np.random.default_rng(20 + seed))
+        cfg = ModelConfig(backbone=backbone, dim=4, gnn_layers=layers, dropout_p=0.0)
+        adj = normalized_adjacency(parts, backbone)
+        init = init_state(cfg, 5, 6, substream(seed, "init"))
+        init["gnn.h0"].value[0, 1] = -0.0
+        gen = np.random.default_rng(seed)
+        for rows in (None, np.array([0, 2, 3, 6, 9])):
+            weights = gen.standard_normal((11 if rows is None else len(rows), cfg.output_dim))
+            outs = []
+            for op in (propagate, reference_propagate):
+                state = ModelState({n: Tensor(init[n].value.copy(), requires_grad=True)
+                                    for n in init.names() if n.startswith("gnn.")})
+                z = op(adj, state, cfg, rows=rows)
+                ad.reduce_sum(_mul(z, ad.constant(weights))).backward()
+                outs.append([z.value.tobytes()] + [t.grad.tobytes() for t in state.tensors()])
+            assert outs[0] == outs[1], (seed, rows)
+
+
+@pytest.mark.parametrize("backbone", ["lightgcn", "lrgccf", "ngcf"])
+def test_propagate_is_one_tape_node(backbone):
+    cfg = ModelConfig(backbone=backbone, dim=3, gnn_layers=2)
+    adj = normalized_adjacency(mixed_graph(np.random.default_rng(4)), backbone)
+    state = init_state(cfg, 5, 6, substream(1, "init"))
+    z = propagate(adj, state, cfg, rows=np.array([1, 7]))
+    weights = {"lightgcn": [], "lrgccf": ["gnn.w0", "gnn.w1"],
+               "ngcf": ["gnn.w1.0", "gnn.w2.0", "gnn.w1.1", "gnn.w2.1"]}[backbone]
+    assert z._parents == tuple(state[n] for n in ["gnn.h0", *weights])
+
+
 def test_mlp_zero_weights_yields_relu_bias():
     cfg = ModelConfig(dim=2, mlp_layers=1, dropout_p=0.0)
     state = _state_with({"mlp.z0": np.ones((3, 2)),
@@ -149,7 +184,7 @@ def test_fused_mlp_matches_reference_chain(mlp_layers, p, training):
                                     for n in names})
                 rng = substream(7, "dropout")
                 z = op(state, cfg, training, rng, rows)
-                ad.reduce_sum(ad.mul(z, ad.constant(weights))).backward()
+                ad.reduce_sum(_mul(z, ad.constant(weights))).backward()
                 outs.append([z.value.tobytes()] + [t.grad.tobytes() for t in state.tensors()]
                             + [rng.bit_generator.state])
             assert outs[0] == outs[1], (backbone, rows)
@@ -236,7 +271,7 @@ def test_fused_attention_matches_reference_chain(variant, p, training):
             zs = [Tensor(z.copy(), requires_grad=True) for z in (z_p, z_n)]
             rng = substream(7, "dropout")
             alpha_p, alpha_n, fused = op(*zs, state, cfg, training, rng)
-            ad.reduce_sum(ad.mul(fused, ad.constant(weights))).backward()
+            ad.reduce_sum(_mul(fused, ad.constant(weights))).backward()
             outs.append([t.value.tobytes() for t in (fused, alpha_p, alpha_n)]
                         + [t.grad.tobytes() for t in zs + state.tensors()]
                         + [rng.bit_generator.state])

@@ -163,6 +163,15 @@ def test_bucketed_inverse_cdf_equals_searchsorted():
         assert (degrees[got] > 0).all()
 
 
+def test_training_without_triples_raises():
+    # every user rates every item, so no negative is left to draw
+    g = SignedBipartiteGraph(2, 2, np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]),
+                             np.array([1.5, -2.5, 0.5, -1.5]))
+    cfg = ModelConfig(variant="no-gn", dim=2, gnn_layers=1)
+    with pytest.raises(ValueError, match="no training triples"):
+        train(g, cfg, TrainConfig(n_neg=1, epochs=1))
+
+
 def test_saturation_warning_logged_once_per_run(caplog):
     records = [RatingRecord("u0", f"i{v}", 5.0) for v in range(3)] \
         + [RatingRecord("u1", "i0", 4.0), RatingRecord("u1", "i1", 1.0)]
@@ -344,6 +353,12 @@ def test_loss_gradient_of_score_is_partner_embedding():
 def test_loss_rejects_c_not_greater_than_one():
     with pytest.raises(ValueError):
         TrainConfig(c=1.0)
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf])
+def test_loss_rejects_non_finite_c(c):
+    with pytest.raises(ValueError, match="finite"):
+        TrainConfig(c=c)
 
 
 def test_loss_positivity_fuzzed():
