@@ -1,12 +1,12 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Just enough ops for this model family: add with broadcasting, a sum, a
-sparse-constant product, and five fused ops with hand-written backwards:
-LightGCN's layer aggregation, LR-GCCF's and NGCF's concatenated layers, the
-negative path's MLP and dropout, the attention fusion of the two embedding
-paths, and the sign-aware pairwise ranking terms. The L2 penalty is not a tape
-op: ``signrec.train`` adds its value to the loss and its gradient in the
-optimizer step.
+A training step's tape holds only the model's fused ops, each with a
+hand-written backward: LightGCN's layer aggregation, LR-GCCF's and NGCF's
+concatenated layers, the negative path's MLP and dropout, the attention
+fusion of the two embedding paths, and the sign-aware pairwise ranking loss.
+A sparse-constant product, ``spmm``, serves the test oracles. The L2 penalty
+has no op: ``signrec.train`` passes its value to the loss op and adds its
+gradient in the optimizer step.
 Values are kept in float64 so analytic gradients can be validated against
 central finite differences.
 """
@@ -27,12 +27,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward", "_owns_grad")
+    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, value, requires_grad=False, parents=(), backward=None):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
-        self._owns_grad = False
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self._parents = parents
         self._backward = backward
@@ -42,17 +41,8 @@ class Tensor:
         return self.value.shape
 
     def _accumulate(self, grad):
-        # The first gradient is kept without a copy. It may be shared (add
-        # hands one array to both parents), so a second write copies it before
-        # adding in place.
-        if self.grad is None:
-            self.grad = grad
-            self._owns_grad = False
-            return
-        if not self._owns_grad:
-            self.grad = self.grad.copy()
-            self._owns_grad = True
-        self.grad += grad
+        # never in place: a gradient array may be shared with another tensor
+        self.grad = grad if self.grad is None else self.grad + grad
 
     def backward(self):
         if self.value.ndim != 0:
@@ -76,28 +66,6 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-
-def constant(value) -> Tensor:
-    return Tensor(value, requires_grad=False)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else constant(x)
-
-
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.value + b.value, parents=(a, b))
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(grad, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(grad, b.shape))
-
-    out._backward = backward
-    return out
 
 
 def spmm(matrix: sp.spmatrix, x: Tensor) -> Tensor:
@@ -232,25 +200,27 @@ def scatter_rows(idx: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     return scatter @ rows
 
 
-def bpr_terms(z: Tensor, users: np.ndarray, items: np.ndarray, negatives: np.ndarray,
-              coef: np.ndarray) -> Tensor:
-    """Per-triple ``softplus(r_uj - coef * r_ui)``, as one tape node.
+def bpr_loss(z: Tensor, users: np.ndarray, items: np.ndarray, negatives: np.ndarray,
+             coef: np.ndarray, penalty: float):
+    """The pairwise ranking loss ``terms.sum() + penalty`` (a constant), as one
+    tape node: ``(loss, terms)``, ``terms`` the per-triple softplus(r_uj - coef * r_ui).
 
     ``r_ui`` and ``r_uj`` are the dot products of the rows ``z[users]`` with
     ``z[items]`` and ``z[negatives]``; softplus is ``log(1 + exp(x))``,
     overflow-safe. The backward repeats the elementwise steps of the chain of
-    gathers, products, row sums, margin and softplus in that chain's order,
-    sums each row set's gradient rows in index order (``scatter_rows``), and
-    then adds the three sets. When no row is both a user row and an item
-    row, a row adds at most two such sums, so the gradient equals that
-    chain's bit for bit.
+    gathers, products, row sums, margin, softplus, sum and add in that chain's
+    order, sums each row set's gradient rows in index order (``scatter_rows``),
+    and then adds the three sets. When no row is both a user row and an item
+    row, a row adds at most two such sums, so the gradient equals that chain's
+    bit for bit.
     """
     zv = z.value
     z_u, z_i, z_j = zv[users], zv[items], zv[negatives]
     r_ui = (z_u * z_i).sum(axis=1)
     r_uj = (z_u * z_j).sum(axis=1)
     x = (r_ui * coef - r_uj) * -1.0
-    out = Tensor(np.logaddexp(0.0, x), parents=(z,))
+    terms = np.logaddexp(0.0, x)
+    out = Tensor(terms.sum() + penalty, parents=(z,))
 
     def backward(grad):
         if not z.requires_grad:
@@ -268,7 +238,7 @@ def bpr_terms(z: Tensor, users: np.ndarray, items: np.ndarray, negatives: np.nda
         z._accumulate(blocks[:n] + blocks[n:2 * n] + blocks[2 * n:])
 
     out._backward = backward
-    return out
+    return out, terms
 
 
 def attention_fuse(z_p: Tensor, z_n: Tensor, w: Tensor, q: Tensor, b: Tensor, p: float,
@@ -276,7 +246,7 @@ def attention_fuse(z_p: Tensor, z_n: Tensor, w: Tensor, q: Tensor, b: Tensor, p:
     """SiReN's attention fusion, as one tape node: ``(alpha_p, alpha_n, out)``.
 
     Each path scores ``tanh(dropout(z) @ w.T + b.T) @ q``; the weights are
-    the softmax of the two scores, returned as constants, and ``out = alpha_p
+    the softmax of the two scores, returned as plain arrays, and ``out = alpha_p
     * z_p + alpha_n * z_n``. Both weights come from one ``exp(-|s_p - s_n|)``
     and equal ``sigmoid(s_p - s_n)`` and ``sigmoid(s_n - s_p)`` bit for bit.
     The backward repeats the elementwise steps of the equivalent chain of
@@ -313,7 +283,7 @@ def attention_fuse(z_p: Tensor, z_n: Tensor, w: Tensor, q: Tensor, b: Tensor, p:
                 t._accumulate(g)
 
     out._backward = backward
-    return constant(alphas[0]), constant(alphas[1]), out
+    return alphas[0], alphas[1], out
 
 
 def mlp(x: Tensor, rows, layers: list, p: float, rng, training: bool) -> Tensor:
@@ -341,20 +311,6 @@ def mlp(x: Tensor, rows, layers: list, p: float, rng, training: bool) -> Tensor:
             full = np.zeros_like(x.value)
             full[idx] = grad
             x._accumulate(full)
-
-    out._backward = backward
-    return out
-
-
-def reduce_sum(a: Tensor, axis=None) -> Tensor:
-    out = Tensor(a.value.sum(axis=axis), parents=(a,))
-
-    def backward(grad):
-        if a.requires_grad:
-            if axis is None:
-                a._accumulate(np.broadcast_to(grad, a.shape).copy())
-            else:
-                a._accumulate(np.broadcast_to(np.expand_dims(grad, axis), a.shape).copy())
 
     out._backward = backward
     return out

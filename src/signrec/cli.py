@@ -229,6 +229,15 @@ def _manifest_ids(directory: str):
                          "as loaded does not hold; split it again with the same flags") from None
 
 
+@contextlib.contextmanager
+def _holding(path: str, what: str):
+    """Report a file that does not parse as ``what`` as a data error naming it."""
+    try:
+        yield
+    except ValueError as exc:  # bad JSON or UTF-8; an empty, truncated or foreign .npy file
+        raise ValueError(f"{path}: not {what} ({exc})") from None
+
+
 def cmd_split(args, cfg: ExperimentConfig) -> int:
     records, _ = _load_dataset(cfg)
     folds = data_mod.kfold_split(records, cfg.k_folds, cfg.seed)
@@ -291,19 +300,24 @@ def cmd_evaluate(args, cfg: ExperimentConfig) -> int:
 
     reports = []
     for run_dir in args.run:
-        config_path = os.path.join(run_dir, "config")
+        config_path, emb_path = (os.path.join(run_dir, f) for f in ("config", "embeddings.npy"))
         if not os.path.isfile(config_path):
             raise FileNotFoundError(f"{run_dir}: missing config")
-        with open(config_path, "r", encoding="utf-8") as fh:
+        with open(config_path, "r", encoding="utf-8") as fh, _holding(config_path, "a run config"):
             run_cfg = json.load(fh)
         fold_index = run_cfg.get("fold") if isinstance(run_cfg, dict) else None
         if type(fold_index) is not int or not 0 <= fold_index < len(folds):
             raise ValueError(f"{run_dir}: config fold {fold_index!r} is not an integer "
                              f"in [0, {len(folds)})")
         fold = folds[fold_index]
-        embeddings = np.load(os.path.join(run_dir, "embeddings.npy"))
-        if embeddings.shape[0] != descriptor.num_users + descriptor.num_items:
-            raise ValueError(f"{run_dir}: embeddings do not match dataset dimensions")
+        if not os.path.isfile(emb_path):
+            raise FileNotFoundError(f"{emb_path} is missing: the run's training did not finish")
+        with open(emb_path, "rb") as fh, _holding(emb_path, "an embeddings array"):
+            embeddings = np.lib.format.read_array(fh)  # np.load's reader for a .npy file
+        nodes = descriptor.num_users + descriptor.num_items
+        if embeddings.ndim != 2 or embeddings.shape[0] != nodes:
+            raise ValueError(f"{emb_path}: a {embeddings.shape} array, not {nodes} rows "
+                             "(the dataset's users and items) of embeddings")
         with _manifest_ids(directory):
             truth = eval_mod.ground_truth(fold.test, descriptor)
             exclude = eval_mod.train_interactions(fold.train, descriptor)

@@ -140,7 +140,8 @@ def mlp_forward(state: ModelState, cfg: ModelConfig, training: bool = False,
 
 def attention_fuse(z_p: Tensor, z_n: Tensor, state: ModelState, cfg: ModelConfig,
                    training: bool = False, rng: np.random.Generator | None = None):
-    """Score both embeddings per node, softmax the pair, fuse convexly (``ad.attention_fuse``)."""
+    """Score both embeddings per node, softmax the pair, fuse convexly (``ad.attention_fuse``):
+    ``(alpha_p, alpha_n, fused)``, the weights as plain arrays."""
     if z_p.shape != z_n.shape:
         raise ValueError("embedding shapes differ")
     return ad.attention_fuse(z_p, z_n, state["attn.w"], state["attn.q"], state["attn.b"],
@@ -172,8 +173,8 @@ def forward_tensors(adjs: AdjacencySet, state: ModelState, cfg: ModelConfig,
     """Forward pass returning live tensors (for training graphs).
 
     Returns (Z, Z_p, Z_n, alpha_p, alpha_n); the last three are None for
-    variants that skip the negative path, and the alphas are constants: the
-    gradient reaches the attention through Z. With ``rows``, a sorted array
+    variants that skip the negative path, and the alphas are plain arrays:
+    the gradient reaches the attention through Z. With ``rows``, a sorted array
     of unique node indices, every returned tensor holds one row per entry of
     ``rows``: propagation computes only those output rows (see
     ``propagate``), and the MLP, dropout and attention run on them alone.

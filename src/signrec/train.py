@@ -5,9 +5,9 @@ Each epoch resamples unobserved items per observed edge from the
 degree-based noise distribution P(j) proportional to d_j^(3/4), through a
 sampler built once per run, shuffles the triples into mini-batches, and
 takes one Adam step per batch on the full loss: the ranking term plus the
-L2 penalty over every learnable parameter. The ranking term is on the
-autodiff tape. The penalty is not: its value is added to the loss, and its
-gradient by the optimizer step. A step computes only the batch's rows:
+L2 penalty over every learnable parameter. The loss is one autodiff tape
+node; the penalty's value is a constant there, and its gradient is added by
+the optimizer step. A step computes only the batch's rows:
 LightGCN restricts its outermost propagation products to them, and the MLP,
 attention and loss run on them alone.
 """
@@ -176,33 +176,22 @@ def sample_negatives(g: SignedBipartiteGraph, n_neg: int, rng: np.random.Generat
     return sampler.draw(rng)
 
 
-def triple_loss_terms(z: Tensor, num_users: int, triples: TrainingTriples,
-                      c: float, loss: str) -> Tensor:
-    """Per-triple -log likelihood under the sign-aware pairwise model.
-
-    Positive-sign triples use sigma(r_ui - r_uj); negative-sign triples use
-    sigma(c*r_ui - r_uj). In standard-bpr mode every triple takes the
-    positive branch. Computed as softplus(-x) for stability, in one tape node.
-    """
-    if loss == "standard-bpr":
-        coef = np.ones(len(triples))
-    else:
-        coef = np.where(triples.signs < 0, c, 1.0)
-    return ad.bpr_terms(z, triples.users, num_users + triples.items,
-                        num_users + triples.negatives, coef)
-
-
 def sign_aware_bpr_loss(z: Tensor, num_users: int, triples: TrainingTriples,
                         c: float, lambda_reg: float, state: ModelState,
                         loss: str = "sign-aware-bpr"):
-    """Total loss tensor and the per-triple term values."""
+    """Total loss tensor and the per-triple -log likelihood values.
+
+    Positive-sign triples use sigma(r_ui - r_uj); negative-sign triples use
+    sigma(c*r_ui - r_uj). In standard-bpr mode every triple takes the
+    positive branch. The total adds the L2 penalty's value; both are one
+    tape node, ``ad.bpr_loss``.
+    """
     if len(triples) == 0:
         raise ValueError("empty batch")
-    terms = triple_loss_terms(z, num_users, triples, c, loss)
-    total = ad.reduce_sum(terms)
-    if lambda_reg > 0:
-        total = ad.add(total, ad.constant(l2_penalty(state, lambda_reg)))
-    return total, terms.value
+    coef = np.ones(len(triples)) if loss == "standard-bpr" else np.where(triples.signs < 0, c, 1.0)
+    penalty = l2_penalty(state, lambda_reg) if lambda_reg > 0 else 0.0
+    return ad.bpr_loss(z, triples.users, num_users + triples.items,
+                       num_users + triples.negatives, coef, penalty)
 
 
 def l2_penalty(state: ModelState, lambda_reg: float) -> float:

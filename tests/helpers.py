@@ -15,7 +15,7 @@ from signrec import model
 from signrec.autodiff import Tensor
 from signrec.data import DatasetDescriptor, RatingRecord
 from signrec.model import forward_tensors
-from signrec.train import TrainingDiverged, TrainingTriples, noise_distribution, triple_loss_terms
+from signrec.train import TrainingDiverged, TrainingTriples, noise_distribution
 
 
 def toy_descriptor(num_users, num_items):
@@ -82,9 +82,49 @@ def dense_propagate_reference(A, state, cfg, prefix="gnn"):
 # ---------------------------------------------------------------------------
 # generic tape nodes and the LR-GCCF / NGCF propagation chain
 
+def _constant(value):
+    """A tensor that takes no gradient."""
+    return Tensor(value, requires_grad=False)
+
+
+def _as_tensor(x):
+    return x if isinstance(x, Tensor) else _constant(x)
+
+
+def _add(a, b):
+    """Tape node for ``a + b`` with broadcasting; either side may be a constant.
+    Both parents receive the same gradient array."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    out = Tensor(a.value + b.value, parents=(a, b))
+
+    def backward(grad):
+        if a.requires_grad:
+            a._accumulate(ad._unbroadcast(grad, a.shape))
+        if b.requires_grad:
+            b._accumulate(ad._unbroadcast(grad, b.shape))
+
+    out._backward = backward
+    return out
+
+
+def _reduce_sum(a, axis=None):
+    """Tape node for ``a.sum(axis)``; the backward broadcasts the gradient back."""
+    out = Tensor(a.value.sum(axis=axis), parents=(a,))
+
+    def backward(grad):
+        if a.requires_grad:
+            if axis is None:
+                a._accumulate(np.broadcast_to(grad, a.shape).copy())
+            else:
+                a._accumulate(np.broadcast_to(np.expand_dims(grad, axis), a.shape).copy())
+
+    out._backward = backward
+    return out
+
+
 def _mul(a, b):
     """Tape node for ``a * b`` with broadcasting; either side may be a constant."""
-    a, b = ad._as_tensor(a), ad._as_tensor(b)
+    a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.value * b.value, parents=(a, b))
 
     def backward(grad):
@@ -99,7 +139,7 @@ def _mul(a, b):
 
 def _matmul(a, b):
     """Tape node for ``a @ b``."""
-    a, b = ad._as_tensor(a), ad._as_tensor(b)
+    a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.value @ b.value, parents=(a, b))
 
     def backward(grad):
@@ -172,9 +212,9 @@ def reference_propagate(adj, state, cfg, prefix="gnn", rows=None):
             h = _matmul(ad.spmm(adj.matrix, h), state[f"{prefix}.w{layer}"])
         else:
             ah = ad.spmm(adj.matrix, h)
-            linear = _matmul(ad.add(h, ah), state[f"{prefix}.w1.{layer}"])
+            linear = _matmul(_add(h, ah), state[f"{prefix}.w1.{layer}"])
             interact = _matmul(_mul(h, ah), state[f"{prefix}.w2.{layer}"])
-            h = _leaky_relu(ad.add(linear, interact), cfg.leaky_relu_alpha)
+            h = _leaky_relu(_add(linear, interact), cfg.leaky_relu_alpha)
         layers.append(h)
     z = _concat(layers, axis=1)
     return z if rows is None else _gather_rows(z, rows)
@@ -260,22 +300,24 @@ def _sub(a, b):
 
 
 def reference_triple_loss_terms(z, num_users, triples, c, loss):
-    """Chain-of-nodes form of ``signrec.train.triple_loss_terms``.
+    """Chain-of-nodes form of the per-triple terms of ``ad.bpr_loss``, as
+    ``signrec.train.sign_aware_bpr_loss`` calls it.
 
     Three repeated-row gathers, two products with row sums, the coefficient,
-    the margin, the negation and softplus, each its own tape node. The fused
-    op must give the same terms and the same gradient bit for bit.
+    the margin, the negation and softplus, each its own tape node. With
+    ``_reduce_sum`` and ``_add`` of the penalty after it, the fused op must
+    give the same loss, terms and gradient bit for bit.
     """
     z_u = _gather_repeated(z, triples.users)
     z_i = _gather_repeated(z, num_users + triples.items)
     z_j = _gather_repeated(z, num_users + triples.negatives)
-    r_ui = ad.reduce_sum(_mul(z_u, z_i), axis=1)
-    r_uj = ad.reduce_sum(_mul(z_u, z_j), axis=1)
+    r_ui = _reduce_sum(_mul(z_u, z_i), axis=1)
+    r_uj = _reduce_sum(_mul(z_u, z_j), axis=1)
     if loss == "standard-bpr":
         coef = np.ones(len(triples))
     else:
         coef = np.where(triples.signs < 0, c, 1.0)
-    margin = _sub(_mul(r_ui, ad.constant(coef)), r_uj)
+    margin = _sub(_mul(r_ui, _constant(coef)), r_uj)
     return _softplus(_mul(margin, -1.0))
 
 
@@ -292,7 +334,7 @@ def _relu(a):
 def _dropout(a, p, rng, training):
     """Inverted dropout as a product with a constant mask from ``ad._dropout_mask``."""
     mask = ad._dropout_mask(a.shape, p, rng, training)
-    return a if mask is None else _mul(a, ad.constant(mask))
+    return a if mask is None else _mul(a, _constant(mask))
 
 
 def reference_mlp_forward(state, cfg, training=False, rng=None, rows=None):
@@ -306,7 +348,7 @@ def reference_mlp_forward(state, cfg, training=False, rng=None, rows=None):
     if rows is not None:
         z = _gather_rows(z, rows)
     for layer in range(cfg.mlp_layers):
-        z = _relu(ad.add(_matmul(z, state[f"mlp.w{layer}"]), state[f"mlp.b{layer}"]))
+        z = _relu(_add(_matmul(z, state[f"mlp.w{layer}"]), state[f"mlp.b{layer}"]))
         if training and layer < cfg.mlp_layers - 1:
             z = _dropout(z, cfg.dropout_p, rng, training)
     return z
@@ -346,18 +388,19 @@ def reference_attention_fuse(z_p, z_n, state, cfg, training=False, rng=None):
     Dropout, transposes, products, bias add, tanh, the two score
     differences, two sigmoids and the convex mix, each its own tape node.
     The fused op must give the same output, weights, gradients and dropout
-    draws bit for bit.
+    draws bit for bit. The weights are returned as arrays, as the fused op
+    returns them.
     """
     w_t = _transpose(state["attn.w"])
     b_row = _transpose(state["attn.b"])
     zp_in = _dropout(z_p, cfg.dropout_p, rng, training)
     zn_in = _dropout(z_n, cfg.dropout_p, rng, training)
-    score_p = _matmul(_tanh(ad.add(_matmul(zp_in, w_t), b_row)), state["attn.q"])
-    score_n = _matmul(_tanh(ad.add(_matmul(zn_in, w_t), b_row)), state["attn.q"])
+    score_p = _matmul(_tanh(_add(_matmul(zp_in, w_t), b_row)), state["attn.q"])
+    score_n = _matmul(_tanh(_add(_matmul(zn_in, w_t), b_row)), state["attn.q"])
     alpha_p = _sigmoid(_sub(score_p, score_n))
     alpha_n = _sigmoid(_sub(score_n, score_p))
-    fused = ad.add(_mul(alpha_p, z_p), _mul(alpha_n, z_n))
-    return alpha_p, alpha_n, fused
+    fused = _add(_mul(alpha_p, z_p), _mul(alpha_n, z_n))
+    return alpha_p.value, alpha_n.value, fused
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +447,8 @@ def reference_l2_penalty(tensors, lam):
 
 def reference_batch_loss(adjs, state, cfg, tcfg, num_users, batch, rng):
     """One step's loss with ``np.unique`` rows, whole-graph LightGCN
-    propagation, the LR-GCCF and NGCF layers, the MLP and the attention as
-    chains of nodes and the penalty as a tape node."""
+    propagation, the LR-GCCF and NGCF layers, the MLP, the attention and the
+    loss head as chains of nodes and the penalty as a tape node."""
     nodes = np.concatenate([batch.users, num_users + batch.items,
                             num_users + batch.negatives])
     rows, local = np.unique(nodes, return_inverse=True)
@@ -418,11 +461,11 @@ def reference_batch_loss(adjs, state, cfg, tcfg, num_users, batch, rng):
         z, *_ = forward_tensors(adjs, state, cfg, training=True, rng=rng, rows=rows)
     finally:
         ad.spmm_power_mean, model.propagate, model.mlp_forward, model.attention_fuse = originals
-    terms = triple_loss_terms(z, 0, TrainingTriples(users, items, negatives, batch.signs),
-                              tcfg.c, tcfg.loss)
-    total = ad.reduce_sum(terms)
+    terms = reference_triple_loss_terms(
+        z, 0, TrainingTriples(users, items, negatives, batch.signs), tcfg.c, tcfg.loss)
+    total = _reduce_sum(terms)
     if tcfg.lambda_reg > 0:
-        total = ad.add(total, reference_l2_penalty(state.tensors(), tcfg.lambda_reg))
+        total = _add(total, reference_l2_penalty(state.tensors(), tcfg.lambda_reg))
     return total
 
 

@@ -19,10 +19,10 @@ from signrec.diagnostics import (
 from signrec.evaluate import evaluate, ground_truth, train_interactions
 from signrec.graph import build_signed_graph, partition
 from signrec.model import (
-    AdjacencySet, ModelConfig, attention_fuse, init_state, propagate,
+    AdjacencySet, ModelConfig, ModelState, attention_fuse, init_state, propagate,
 )
 from signrec.rng import substream
-from signrec.train import TrainConfig, TrainingTriples, triple_loss_terms, train
+from signrec.train import TrainConfig, TrainingTriples, sign_aware_bpr_loss, train
 
 from helpers import (
     brute_force_metrics, dense_adjacency, dense_propagate_reference,
@@ -100,8 +100,9 @@ def test_criterion_04_loss_spot_values():
         z = Tensor(np.array([[1.0], [r_ui], [r_uj]]), requires_grad=True)
         triples = TrainingTriples(np.array([0]), np.array([0]), np.array([1]),
                                   np.array([sign]))
-        out = triple_loss_terms(z, 1, triples, c, "sign-aware-bpr")
-        return float(out.value[0])
+        _, terms = sign_aware_bpr_loss(z, 1, triples, c, 0.0, ModelState({}),
+                                       "sign-aware-bpr")
+        return float(terms[0])
 
     # equal scores, positive sign: -log sigma(0) = log 2
     assert term(1.0, 1.0, +1) == pytest.approx(0.693147, abs=1e-6)
@@ -202,8 +203,8 @@ def test_criterion_09_attention_invariants_fuzzed():
         z_p = Tensor(scale * rng.standard_normal((7, 6)))
         z_n = Tensor(scale * rng.standard_normal((7, 6)))
         alpha_p, alpha_n, fused = attention_fuse(z_p, z_n, state, cfg)
-        assert np.allclose(alpha_p.value + alpha_n.value, 1.0, atol=1e-12)
-        assert (alpha_p.value > 0).all() and (alpha_n.value > 0).all()
+        assert np.allclose(alpha_p + alpha_n, 1.0, atol=1e-12)
+        assert (alpha_p > 0).all() and (alpha_n > 0).all()
         lo = np.minimum(z_p.value, z_n.value)
         hi = np.maximum(z_p.value, z_n.value)
         assert (fused.value >= lo - 1e-9).all() and (fused.value <= hi + 1e-9).all()

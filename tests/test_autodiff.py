@@ -6,7 +6,8 @@ from signrec import autodiff as ad
 from signrec.autodiff import Tensor
 
 from helpers import (
-    _concat, _gather_rows, _leaky_relu, _matmul, _mul, _relu, _sigmoid, _tanh, _transpose,
+    _add, _concat, _constant, _gather_rows, _leaky_relu, _matmul, _mul, _reduce_sum, _relu,
+    _sigmoid, _tanh, _transpose,
 )
 
 
@@ -50,19 +51,19 @@ rng = np.random.default_rng(0)
 def test_add_mul_broadcast():
     a = _param(rng, 3, 4)
     b = _param(rng, 1, 4)  # broadcast over rows
-    check_op(lambda: ad.reduce_sum(_mul(ad.add(a, b), a)), [a, b])
+    check_op(lambda: _reduce_sum(_mul(_add(a, b), a)), [a, b])
 
 
 def test_matmul_transpose():
     a = _param(rng, 3, 4)
     w = _param(rng, 2, 4)
-    check_op(lambda: ad.reduce_sum(_matmul(a, _transpose(w))), [a, w])
+    check_op(lambda: _reduce_sum(_matmul(a, _transpose(w))), [a, w])
 
 
 def test_spmm():
     mat = sp.random(5, 5, density=0.4, random_state=1, format="csr")
     x = _param(rng, 5, 3)
-    check_op(lambda: ad.reduce_sum(_mul(ad.spmm(mat, x), x)), [x])
+    check_op(lambda: _reduce_sum(_mul(ad.spmm(mat, x), x)), [x])
 
 
 @pytest.mark.parametrize("op", [pytest.param(_relu, id="relu"), pytest.param(_tanh, id="tanh"),
@@ -71,18 +72,18 @@ def test_spmm():
 def test_unary_ops(op):
     # offset away from the ReLU kink so finite differences are clean
     x = Tensor(rng.standard_normal((4, 3)) + 0.2, requires_grad=True)
-    check_op(lambda: ad.reduce_sum(op(x)), [x])
+    check_op(lambda: _reduce_sum(op(x)), [x])
 
 
 def test_bpr_terms_finite_at_large_margins():
     # rows 0-1 users, 2-3 items; margins coef * r_ui - r_uj of -1e3 and +1e3
     z = Tensor(np.array([[1.0], [1.0], [0.0], [1e3]]), requires_grad=True)
-    y = ad.bpr_terms(z, np.array([0, 1]), np.array([2, 3]), np.array([3, 2]),
-                     np.ones(2))
-    assert np.isfinite(y.value).all()
-    assert y.value[0] == pytest.approx(1e3)
-    assert y.value[1] == pytest.approx(0.0, abs=1e-300)
-    ad.reduce_sum(y).backward()
+    loss, terms = ad.bpr_loss(z, np.array([0, 1]), np.array([2, 3]), np.array([3, 2]),
+                              np.ones(2), 0.0)
+    assert np.isfinite(terms).all()
+    assert terms[0] == pytest.approx(1e3)
+    assert terms[1] == pytest.approx(0.0, abs=1e-300)
+    loss.backward()
     assert np.isfinite(z.grad).all()
 
 
@@ -93,7 +94,22 @@ def test_bpr_terms_matches_finite_differences():
     items = np.array([3, 5, 3, 4, 6, 3])
     negatives = np.array([5, 7, 7, 3, 5, 5])
     coef = np.array([1.0, 2.0, 1.0, 2.0, 2.0, 1.0])
-    check_op(lambda: ad.reduce_sum(ad.bpr_terms(x, users, items, negatives, coef)), [x])
+    check_op(lambda: ad.bpr_loss(x, users, items, negatives, coef, 0.0)[0], [x])
+
+
+@pytest.mark.parametrize("penalty", [0.0, 0.75])
+def test_bpr_loss_matches_finite_differences(penalty):
+    """The loss is its terms' sum plus the penalty, and its gradient is the
+    central difference of that total, over scales where softplus saturates."""
+    local = np.random.default_rng(31)
+    for scale in (0.1, 1.0, 4.0):
+        x = Tensor(scale * local.standard_normal((9, 2)), requires_grad=True)
+        users = local.integers(0, 3, 12)
+        items, negatives = 3 + local.integers(0, 6, 12), 3 + local.integers(0, 6, 12)
+        coef = local.choice([1.0, 2.5], 12)
+        loss, terms = ad.bpr_loss(x, users, items, negatives, coef, penalty)
+        assert loss.value.shape == () and loss.value == terms.sum() + penalty
+        check_op(lambda: ad.bpr_loss(x, users, items, negatives, coef, penalty)[0], [x])
 
 
 def test_attention_fuse_matches_finite_differences():
@@ -104,7 +120,7 @@ def test_attention_fuse_matches_finite_differences():
 
     def build():
         *_, out = ad.attention_fuse(z_p, z_n, w, q, b, 0.3, np.random.default_rng(5), True)
-        return ad.reduce_sum(_mul(out, weights))
+        return _reduce_sum(_mul(out, weights))
 
     check_op(build, [z_p, z_n, w, q, b])
 
@@ -121,7 +137,7 @@ def test_mlp_matches_finite_differences(rows):
 
     def build():
         out = ad.mlp(x, rows, layers, 0.3, np.random.default_rng(5), True)
-        return ad.reduce_sum(_mul(out, weights))
+        return _reduce_sum(_mul(out, weights))
 
     check_op(build, [x, *(t for pair in layers for t in pair)])
 
@@ -129,21 +145,21 @@ def test_mlp_matches_finite_differences(rows):
 def test_gather_rows_scatter_add():
     # two gathers of one tensor whose rows overlap add up in the source rows
     x = _param(rng, 5, 2)
-    check_op(lambda: ad.reduce_sum(_mul(_gather_rows(x, np.array([0, 2, 4])),
-                                       _gather_rows(x, np.array([2, 4, 1])))), [x])
+    check_op(lambda: _reduce_sum(_mul(_gather_rows(x, np.array([0, 2, 4])),
+                                    _gather_rows(x, np.array([2, 4, 1])))), [x])
 
 
 def test_reduce_sum_axis():
     x = _param(rng, 4, 3)
-    check_op(lambda: ad.reduce_sum(_mul(ad.reduce_sum(x, axis=1),
-                                       ad.reduce_sum(x, axis=1))), [x])
+    check_op(lambda: _reduce_sum(_mul(_reduce_sum(x, axis=1),
+                                    _reduce_sum(x, axis=1))), [x])
 
 
 def test_concat():
     a = _param(rng, 3, 2)
     b = _param(rng, 3, 4)
-    check_op(lambda: ad.reduce_sum(_mul(_concat([a, b], axis=1),
-                                       _concat([a, b], axis=1))), [a, b])
+    check_op(lambda: _reduce_sum(_mul(_concat([a, b], axis=1),
+                                    _concat([a, b], axis=1))), [a, b])
 
 
 def test_spmm_power_mean():
@@ -155,7 +171,7 @@ def test_spmm_power_mean():
     a = mat.toarray()
     expected = (x.value + a @ x.value + a @ a @ x.value + a @ a @ a @ x.value) / 4
     assert np.allclose(out, expected, rtol=1e-12, atol=1e-12)
-    check_op(lambda: ad.reduce_sum(_mul(ad.spmm_power_mean(mat, x, 3), x)), [x])
+    check_op(lambda: _reduce_sum(_mul(ad.spmm_power_mean(mat, x, 3), x)), [x])
 
 
 @pytest.mark.parametrize("layers", [1, 2, 3])
@@ -182,7 +198,7 @@ def test_spmm_power_mean_rows_match_full_then_gather(layers):
         for op in (ad.spmm_power_mean, reference_spmm_power_mean):
             x = Tensor(value.copy(), requires_grad=True)
             out = op(sym, x, layers, rows)
-            ad.reduce_sum(_mul(out, ad.constant(weights))).backward()
+            _reduce_sum(_mul(out, _constant(weights))).backward()
             outs.append((out.value.tobytes(), x.grad.tobytes()))
         assert outs[0] == outs[1], rows
 
@@ -200,8 +216,8 @@ def test_concat_propagate_matches_finite_differences(backbone, rows):
     else:
         weights = params = [_param(rng, 3, 3) for _ in range(2)]
     out_weights = rng.standard_normal((6 if rows is None else len(rows), 9))
-    check_op(lambda: ad.reduce_sum(_mul(ad.concat_propagate(mat, x, weights, backbone, 0.1,
-                                                             rows), out_weights)),
+    check_op(lambda: _reduce_sum(_mul(ad.concat_propagate(mat, x, weights, backbone, 0.1,
+                                                          rows), out_weights)),
              [x, *params])
 
 
@@ -209,7 +225,7 @@ def test_gather_unique_rows_assigns():
     x = _param(rng, 6, 2)
     idx = np.array([4, 0, 3])
     weights = rng.standard_normal((3, 2))
-    check_op(lambda: ad.reduce_sum(_mul(_gather_rows(x, idx), weights)), [x])
+    check_op(lambda: _reduce_sum(_mul(_gather_rows(x, idx), weights)), [x])
 
 
 @pytest.mark.parametrize("n", [255, 256, 257, 65535, 65536, 65537])
@@ -227,12 +243,12 @@ def test_scatter_rows_matches_add_at(n):
 
 
 def test_shared_gradient_array_is_not_aliased():
-    # add() hands one gradient array to both parents; a later in-place add
+    # _add() hands one gradient array to both parents; a later accumulation
     # into one parent must not leak into the other
     a = Tensor(np.ones(3), requires_grad=True)
     b = Tensor(np.ones(3), requires_grad=True)
-    s = ad.add(a, b)
-    total = ad.reduce_sum(ad.add(_mul(s, 2.0), _mul(a, 5.0)))
+    s = _add(a, b)
+    total = _reduce_sum(_add(_mul(s, 2.0), _mul(a, 5.0)))
     total.backward()
     assert np.array_equal(a.grad, np.full(3, 7.0))
     assert np.array_equal(b.grad, np.full(3, 2.0))
@@ -241,7 +257,7 @@ def test_shared_gradient_array_is_not_aliased():
 def test_diamond_graph_accumulates_once():
     x = Tensor(np.array(2.0), requires_grad=True)
     y = _mul(x, x)               # x^2
-    z = ad.add(y, _mul(y, 3.0))  # 4 x^2 -> dz/dx = 8x = 16
+    z = _add(y, _mul(y, 3.0))  # 4 x^2 -> dz/dx = 8x = 16
     z.backward()
     assert x.grad == pytest.approx(16.0)
 

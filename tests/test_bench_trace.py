@@ -58,9 +58,10 @@ def test_every_trace_target_exists_and_every_metric_is_reported(tracing):
 
 @pytest.mark.parametrize("backbone", ["lightgcn", "lrgccf", "ngcf"])
 def test_tensors_per_training_step(tracing, backbone):
-    """Propagation, the MLP and the attention are one tape op each: a step
-    makes 9 tensors with a negative path and 5 without one."""
-    for variant, count in (("mlp-gn", 9), ("gnn-gn", 9), ("no-gn", 5)):
+    """Propagation, the MLP, the attention and the loss are one tape op each,
+    and nothing else is on the tape: a step makes 4 tensors with a negative
+    path and 2 without one."""
+    for variant, count in (("mlp-gn", 4), ("gnn-gn", 4), ("no-gn", 2)):
         cfg = ModelConfig(backbone=backbone, variant=variant, dim=4, gnn_layers=2, attn_dim=3)
         metrics, _ = traced_training(tracing, cfg).layer_metrics()
         assert metrics["autodiff.tensors_per_step"][0] == count, variant

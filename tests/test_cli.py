@@ -338,6 +338,48 @@ def test_evaluate_rejects_run_config_fold(dataset_path, tmp_path, capsys, fold):
     assert not os.path.exists(os.path.join(run_path, "reports", "metrics.csv"))
 
 
+def _empty(path):
+    open(path, "wb").close()
+
+
+def _truncated(path):
+    data = open(path, "rb").read()
+    open(path, "wb").write(data[:40])  # inside the header
+
+
+def _bad_json(path):
+    text = open(path).read()
+    open(path, "w").write(text.replace(",", "", 1))
+
+
+def _one_dimensional(path):
+    np.save(path, np.load(path)[:, 0])
+
+
+@pytest.mark.parametrize("name, damage, says", [
+    ("embeddings.npy", _empty, "not an embeddings array"),
+    ("embeddings.npy", _truncated, "not an embeddings array"),
+    ("config", _bad_json, "not a run config"),
+    ("embeddings.npy", os.remove, "training did not finish"),
+    ("embeddings.npy", _one_dimensional, "a (48,) array"),
+], ids=["empty-embeddings", "truncated-embeddings", "bad-json-config", "missing-embeddings",
+        "1d-embeddings"])
+def test_evaluate_bad_run_file_is_data_error_naming_it(dataset_path, tmp_path, capsys,
+                                                       name, damage, says):
+    out = str(tmp_path / "runs")
+    assert main(["split"] + base_args(dataset_path, out)) == EXIT_OK
+    assert main(train_args(dataset_path, out, epochs=1)) == EXIT_OK
+    run_path = os.path.join(out, next(p for p in os.listdir(out) if "mlp-gn" in p))
+    path = os.path.join(run_path, name)
+    damage(path)
+    capsys.readouterr()
+    code = main(["evaluate"] + base_args(dataset_path, out) + ["--run", run_path])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}") and says in err, err
+    assert not os.path.exists(os.path.join(run_path, "reports", "metrics.csv"))
+
+
 def test_read_config_file_rejects_bad_line(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("this is not a key value pair\n")

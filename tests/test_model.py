@@ -3,7 +3,6 @@ import re
 import numpy as np
 import pytest
 
-from signrec import autodiff as ad
 from signrec.autodiff import Tensor
 from signrec.data import RatingRecord
 from signrec.graph import build_signed_graph, normalized_adjacency, partition
@@ -15,8 +14,8 @@ from signrec.model import (
 from signrec.rng import substream
 
 from helpers import (
-    _mul, dense_adjacency, dense_propagate_reference, random_records, reference_attention_fuse,
-    reference_mlp_forward, reference_propagate, toy_descriptor,
+    _constant, _mul, _reduce_sum, dense_adjacency, dense_propagate_reference, random_records,
+    reference_attention_fuse, reference_mlp_forward, reference_propagate, toy_descriptor,
 )
 
 
@@ -115,7 +114,7 @@ def test_fused_propagation_matches_reference_chain(backbone, layers):
                 state = ModelState({n: Tensor(init[n].value.copy(), requires_grad=True)
                                     for n in init.names() if n.startswith("gnn.")})
                 z = op(adj, state, cfg, rows=rows)
-                ad.reduce_sum(_mul(z, ad.constant(weights))).backward()
+                _reduce_sum(_mul(z, _constant(weights))).backward()
                 outs.append([z.value.tobytes()] + [t.grad.tobytes() for t in state.tensors()])
             assert outs[0] == outs[1], (seed, rows)
 
@@ -184,7 +183,7 @@ def test_fused_mlp_matches_reference_chain(mlp_layers, p, training):
                                     for n in names})
                 rng = substream(7, "dropout")
                 z = op(state, cfg, training, rng, rows)
-                ad.reduce_sum(_mul(z, ad.constant(weights))).backward()
+                _reduce_sum(_mul(z, _constant(weights))).backward()
                 outs.append([z.value.tobytes()] + [t.grad.tobytes() for t in state.tensors()]
                             + [rng.bit_generator.state])
             assert outs[0] == outs[1], (backbone, rows)
@@ -212,7 +211,7 @@ def test_attention_zero_weight_matrix_gives_even_split():
     z_n = Tensor(rng.standard_normal((5, 4)))
     state = attn_state(rng, 4, 3, zero_w=True)
     alpha_p, alpha_n, fused = attention_fuse(z_p, z_n, state, cfg)
-    assert np.allclose(alpha_p.value, 0.5) and np.allclose(alpha_n.value, 0.5)
+    assert np.allclose(alpha_p, 0.5) and np.allclose(alpha_n, 0.5)
     assert np.allclose(fused.value, (z_p.value + z_n.value) / 2)
 
 
@@ -221,7 +220,7 @@ def test_attention_identical_inputs_gives_even_split():
     cfg = ModelConfig(dim=4, dropout_p=0.0)
     z = Tensor(rng.standard_normal((6, 4)))
     alpha_p, alpha_n, _ = attention_fuse(z, z, attn_state(rng, 4, 5), cfg)
-    assert np.allclose(alpha_p.value, 0.5) and np.allclose(alpha_n.value, 0.5)
+    assert np.allclose(alpha_p, 0.5) and np.allclose(alpha_n, 0.5)
 
 
 def test_attention_softmax_normalization_fuzzed():
@@ -231,8 +230,8 @@ def test_attention_softmax_normalization_fuzzed():
         z_p = Tensor(rng.standard_normal((4, 3)) * 3)
         z_n = Tensor(rng.standard_normal((4, 3)) * 3)
         alpha_p, alpha_n, fused = attention_fuse(z_p, z_n, attn_state(rng, 3, 4), cfg)
-        assert np.all(np.abs(alpha_p.value + alpha_n.value - 1.0) < 1e-12)
-        assert np.all(alpha_p.value > 0) and np.all(alpha_p.value < 1)
+        assert np.all(np.abs(alpha_p + alpha_n - 1.0) < 1e-12)
+        assert np.all(alpha_p > 0) and np.all(alpha_p < 1)
         lo = np.minimum(z_p.value, z_n.value) - 1e-12
         hi = np.maximum(z_p.value, z_n.value) + 1e-12
         assert np.all(fused.value >= lo) and np.all(fused.value <= hi)
@@ -271,8 +270,8 @@ def test_fused_attention_matches_reference_chain(variant, p, training):
             zs = [Tensor(z.copy(), requires_grad=True) for z in (z_p, z_n)]
             rng = substream(7, "dropout")
             alpha_p, alpha_n, fused = op(*zs, state, cfg, training, rng)
-            ad.reduce_sum(_mul(fused, ad.constant(weights))).backward()
-            outs.append([t.value.tobytes() for t in (fused, alpha_p, alpha_n)]
+            _reduce_sum(_mul(fused, _constant(weights))).backward()
+            outs.append([fused.value.tobytes(), alpha_p.tobytes(), alpha_n.tobytes()]
                         + [t.grad.tobytes() for t in zs + state.tensors()]
                         + [rng.bit_generator.state])
         assert outs[0] == outs[1], backbone

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from signrec import autodiff as ad
 from signrec import train as train_mod
 from signrec.autodiff import Tensor
 from signrec.data import RatingRecord
@@ -16,12 +15,12 @@ from signrec.diagnostics import check_gradients
 from signrec.train import (
     LOSSES, Adam, NegativeSampler, TrainConfig, TrainingDiverged, TrainingTriples, batch_loss,
     batch_rows, l2_penalty, noise_distribution, penalized_gradient, sample_negatives,
-    sign_aware_bpr_loss, train, triple_loss_terms,
+    sign_aware_bpr_loss, train,
 )
 
 from helpers import (
-    ReferenceAdam, random_records, reference_batch_loss, reference_sample_negatives,
-    reference_triple_loss_terms, toy_descriptor,
+    ReferenceAdam, _add, _reduce_sum, random_records, reference_batch_loss,
+    reference_sample_negatives, reference_triple_loss_terms, toy_descriptor,
 )
 
 
@@ -327,7 +326,7 @@ def test_empty_batch_rejected():
 def test_loss_monotone_in_observed_score():
     def term(r_ui, sign):
         z = embedding_tensor([[1.0], [r_ui], [2.0]])
-        return triple_loss_terms(z, 1, single_triple(sign), 2.0, "sign-aware-bpr").value[0]
+        return sign_aware_bpr_loss(z, 1, single_triple(sign), 2.0, 0.0, dummy_state())[1][0]
 
     assert term(1.5, +1) < term(1.0, +1)
     assert term(1.5, -1) < term(1.0, -1)
@@ -374,7 +373,8 @@ def test_loss_positivity_fuzzed():
 
 @pytest.mark.parametrize("loss_name", LOSSES)
 def test_fused_loss_head_matches_reference_chain(loss_name):
-    """Terms and z.grad equal the chain of small tape nodes bit for bit."""
+    """Loss, terms and z.grad equal the chain of small tape nodes, summed and
+    plus the penalty, bit for bit, for a zero and a positive penalty."""
     rng = np.random.default_rng(17)
     for case in range(40):
         num_users, num_items = int(rng.integers(1, 6)), int(rng.integers(2, 8))
@@ -387,14 +387,21 @@ def test_fused_loss_head_matches_reference_chain(loss_name):
         triples.negatives[0] = triples.items[-1]
         value = rng.standard_normal((num_users + num_items, 4)) * rng.choice([0.1, 1.0, 30.0])
         value[rng.integers(0, len(value))] = -0.0
-        z_fused = Tensor(value.copy(), requires_grad=True)
-        z_chain = Tensor(value.copy(), requires_grad=True)
-        fused = triple_loss_terms(z_fused, num_users, triples, 2.5, loss_name)
-        chain = reference_triple_loss_terms(z_chain, num_users, triples, 2.5, loss_name)
-        assert fused.value.tobytes() == chain.value.tobytes(), case
-        ad.reduce_sum(fused).backward()
-        ad.reduce_sum(chain).backward()
-        assert z_fused.grad.tobytes() == z_chain.grad.tobytes(), case
+        state = ModelState({"w": Tensor(rng.standard_normal((3, 2)), requires_grad=True)})
+        for lam in (0.0, 0.05):
+            penalty = l2_penalty(state, lam)
+            z_fused = Tensor(value.copy(), requires_grad=True)
+            z_chain = Tensor(value.copy(), requires_grad=True)
+            fused, terms = sign_aware_bpr_loss(z_fused, num_users, triples, 2.5, lam, state,
+                                               loss_name)
+            chain_terms = reference_triple_loss_terms(z_chain, num_users, triples, 2.5,
+                                                      loss_name)
+            chain = _add(_reduce_sum(chain_terms), penalty)
+            assert terms.tobytes() == chain_terms.value.tobytes(), (case, lam)
+            assert fused.value.tobytes() == chain.value.tobytes(), (case, lam)
+            fused.backward()
+            chain.backward()
+            assert z_fused.grad.tobytes() == z_chain.grad.tobytes(), (case, lam)
 
 
 @pytest.mark.parametrize("backbone", ["lightgcn", "lrgccf", "ngcf"])
