@@ -12,6 +12,7 @@ import csv
 import json
 import logging
 import os
+import shutil
 import sys
 from dataclasses import dataclass, asdict, field
 
@@ -238,6 +239,24 @@ def _holding(path: str, what: str):
         raise ValueError(f"{path}: not {what} ({exc})") from None
 
 
+@contextlib.contextmanager
+def _removed_on_failure(*paths: str):
+    """If the block raises, remove those of ``paths`` that did not exist before it.
+
+    An interrupt is not a failure: it keeps what the run has written so far.
+    """
+    made = [path for path in paths if not os.path.lexists(path)]
+    try:
+        yield
+    except Exception:
+        for path in made:
+            if os.path.isdir(path):
+                shutil.rmtree(path, ignore_errors=True)
+            elif os.path.lexists(path):
+                os.remove(path)
+        raise
+
+
 def cmd_split(args, cfg: ExperimentConfig) -> int:
     records, _ = _load_dataset(cfg)
     folds = data_mod.kfold_split(records, cfg.k_folds, cfg.seed)
@@ -260,34 +279,36 @@ def cmd_train(args, cfg: ExperimentConfig) -> int:
         raise UsageError(f"--fold must lie in [0, {cfg.k_folds})")
     records, descriptor = _load_dataset(cfg)
     directory = _manifest_dir(cfg)
-    if not os.path.isdir(directory):
-        raise FileNotFoundError(f"fold manifests missing at {directory}; run split first")
     folds = data_mod.read_fold_manifests(directory, cfg.k_folds)
     fold = folds[args.fold]
 
     with _manifest_ids(directory):
         g = build_signed_graph(fold.train, descriptor, cfg.w_o)
     run_dir = run_dir_name(cfg, args.fold)
-    for sub in ("checkpoints", "logs", "reports"):
-        os.makedirs(os.path.join(run_dir, sub), exist_ok=True)
-    with open(os.path.join(run_dir, "config"), "w", encoding="utf-8") as fh:
-        json.dump(asdict(cfg) | {"fold": args.fold}, fh, indent=2, sort_keys=True)
+    subs = [os.path.join(run_dir, sub) for sub in ("checkpoints", "logs", "reports")]
+    # a failed training leaves nothing it made, and every file it found
+    with _removed_on_failure(run_dir, *subs, os.path.join(run_dir, "config")):
+        for sub in subs:
+            os.makedirs(sub, exist_ok=True)
+        with open(os.path.join(run_dir, "config"), "w", encoding="utf-8") as fh:
+            json.dump(asdict(cfg) | {"fold": args.fold}, fh, indent=2, sort_keys=True)
 
-    def on_epoch(entry, state):
-        if args.checkpoint_every and (entry.epoch + 1) % args.checkpoint_every == 0:
-            save_checkpoint(os.path.join(run_dir, "checkpoints", f"epoch{entry.epoch}.npz"), state)
+        def on_epoch(entry, state):
+            if args.checkpoint_every and (entry.epoch + 1) % args.checkpoint_every == 0:
+                save_checkpoint(os.path.join(run_dir, "checkpoints", f"epoch{entry.epoch}.npz"),
+                                state)
 
-    result = train(g, cfg.model, cfg.training, epoch_callback=on_epoch)
+        result = train(g, cfg.model, cfg.training, epoch_callback=on_epoch)
 
-    save_checkpoint(os.path.join(run_dir, "checkpoints", "final.npz"), result.state)
-    np.save(os.path.join(run_dir, "embeddings.npy"), result.embeddings)
-    with open(os.path.join(run_dir, "logs", "epochs.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        # no wall times here: the log must be bitwise reproducible for a fixed seed
-        writer.writerow(["epoch", "mean_loss"])
-        for entry in result.log:
-            writer.writerow([entry.epoch, f"{entry.mean_loss:.12f}"])
+        save_checkpoint(os.path.join(run_dir, "checkpoints", "final.npz"), result.state)
+        np.save(os.path.join(run_dir, "embeddings.npy"), result.embeddings)
+        with open(os.path.join(run_dir, "logs", "epochs.csv"), "w", newline="",
+                  encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            # no wall times here: the log must be bitwise reproducible for a fixed seed
+            writer.writerow(["epoch", "mean_loss"])
+            for entry in result.log:
+                writer.writerow([entry.epoch, f"{entry.mean_loss:.12f}"])
     print(f"trained fold {args.fold}: final mean loss {result.log[-1].mean_loss:.6f} "
           f"-> {run_dir}")
     return EXIT_OK

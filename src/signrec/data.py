@@ -1,9 +1,16 @@
-"""Rating file parsing, interaction-count filtering, and k-fold splitting."""
+"""Rating file parsing, interaction-count filtering, and k-fold splitting.
+
+Ratings travel as columns (:class:`Ratings`) from the parse to evaluation:
+integer codes into the user- and item-id lists, the rating and the
+timestamp. Every function that takes ratings also takes an iterable of
+:class:`RatingRecord`, which it turns into columns once on entry.
+"""
 from __future__ import annotations
 
 import os
-from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import attrgetter
 
 import numpy as np
 
@@ -34,6 +41,86 @@ class RatingRecord:
     timestamp: int = 0
 
 
+def _encode(values: list, index: dict) -> np.ndarray:
+    """Codes of ``values`` in ``index``, which gains new values in first-appearance order."""
+    new = [value for value in dict.fromkeys(values) if value not in index]
+    index.update(zip(new, range(len(index), len(index) + len(new))))
+    return np.fromiter(map(index.__getitem__, values), np.int64, count=len(values))
+
+
+def _dense(codes: np.ndarray, ids: list, index: dict) -> np.ndarray:
+    """``index[ids[code]]`` for each code, -1 where ``index`` lacks the id.
+
+    Only the codes present are looked up.
+    """
+    present = np.flatnonzero(np.bincount(codes, minlength=len(ids)))
+    lookup = np.full(len(ids), -1, dtype=np.int64)
+    lookup[present] = [index.get(ids[c], -1) for c in present.tolist()]
+    return lookup[codes]
+
+
+@dataclass(eq=False)
+class Ratings:
+    """Ratings as columns, one row per rating.
+
+    ``users`` and ``items`` are int64 codes into ``user_ids`` and
+    ``item_ids``; each list holds its ids in order of first appearance in
+    the rows the lists were built from. Rows made by ``take`` share the
+    lists. Iterating yields one :class:`RatingRecord` per row.
+    """
+
+    user_ids: list
+    item_ids: list
+    users: np.ndarray       # int64
+    items: np.ndarray       # int64
+    rating: np.ndarray      # float64
+    timestamp: np.ndarray   # int64
+
+    @classmethod
+    def from_records(cls, records) -> "Ratings":
+        records = list(records)
+        user_ids, item_ids = {}, {}
+        users = _encode(list(map(attrgetter("user_id"), records)), user_ids)
+        items = _encode(list(map(attrgetter("item_id"), records)), item_ids)
+        return cls(list(user_ids), list(item_ids), users, items,
+                   np.fromiter(map(attrgetter("rating"), records), np.float64, len(records)),
+                   np.fromiter(map(attrgetter("timestamp"), records), np.int64, len(records)))
+
+    def __len__(self) -> int:
+        return len(self.rating)
+
+    def __iter__(self):
+        return map(RatingRecord, map(self.user_ids.__getitem__, self.users.tolist()),
+                   map(self.item_ids.__getitem__, self.items.tolist()),
+                   self.rating.tolist(), self.timestamp.tolist())
+
+    def take(self, rows) -> "Ratings":
+        return Ratings(self.user_ids, self.item_ids, self.users[rows], self.items[rows],
+                       self.rating[rows], self.timestamp[rows])
+
+    def dense(self, descriptor) -> tuple:
+        """Dense (users, items) indices under ``descriptor``, and a KeyError or None.
+
+        If ``descriptor`` lacks an id, the indices cover only the rows before
+        the first row holding one, and the KeyError names it (the user's id
+        before the item's).
+        """
+        users = _dense(self.users, self.user_ids, descriptor.user_index)
+        items = _dense(self.items, self.item_ids, descriptor.item_index)
+        missing = np.flatnonzero((users < 0) | (items < 0))
+        if not len(missing):
+            return users, items, None
+        row = missing[0]
+        name = (self.user_ids[self.users[row]] if users[row] < 0
+                else self.item_ids[self.items[row]])
+        return users[:row], items[:row], KeyError(name)
+
+
+def as_ratings(records) -> Ratings:
+    """``records`` as columns: a :class:`Ratings` as is, an iterable of records converted."""
+    return records if isinstance(records, Ratings) else Ratings.from_records(records)
+
+
 @dataclass
 class DatasetDescriptor:
     """Bijective maps from external identifiers to dense indices."""
@@ -43,18 +130,12 @@ class DatasetDescriptor:
     user_index: dict = field(repr=False)
     item_index: dict = field(repr=False)
 
-    def user(self, user_id: str) -> int:
-        return self.user_index[user_id]
-
-    def item(self, item_id: str) -> int:
-        return self.item_index[item_id]
-
 
 @dataclass
 class FoldSplit:
     fold_index: int
-    train: list
-    test: list
+    train: Ratings
+    test: Ratings
 
 
 _SEPARATORS = {"tsv": "\t", "movielens-dat": "::"}
@@ -64,51 +145,112 @@ def _format_rating(rating: float) -> str:
     return str(int(rating)) if float(rating).is_integer() else repr(rating)
 
 
-def parse_ratings(source, format: str = "tsv") -> list:
-    """Parse a rating file into records, one per non-empty line.
+def _timestamp(text: str) -> int:
+    value = int(text)
+    if not -2**63 <= value < 2**63:
+        raise ValueError(f"timestamp {text!r} outside the int64 range")
+    return value
 
-    ``source`` may be a path, a text file object, or bytes. Lines starting
-    with ``#`` are treated as comments and skipped.
-    """
-    if format not in _SEPARATORS:
-        raise ValueError(f"unknown format {format!r}")
-    sep = _SEPARATORS[format]
 
-    path = os.fspath(source) if isinstance(source, (str, os.PathLike)) else None
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    elif isinstance(source, bytes):
-        lines = source.decode("utf-8").splitlines()
-    else:
-        lines = source.readlines()
+def _lines(text: str) -> list:
+    """The lines of ``text``, split at ``\\n``, ``\\r\\n`` and ``\\r``, without their ends."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
+
+def _read_text(source) -> tuple:
+    """(text, path) of a path, bytes, or a text or binary file object; path None if none."""
+    if isinstance(source, (str, os.PathLike)):
+        path = os.fspath(source)
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return fh.read(), path
+    text = source if isinstance(source, bytes) else source.read()
+    return (text.decode("utf-8") if isinstance(text, bytes) else text), None
+
+
+def _raise_first_bad_line(lines: list, sep: str, path) -> None:
+    """Raise the error of the first line that ``parse_ratings`` rejects, if any."""
     lo, hi = RATING_SCALE
-    records = []
     for line_no, line in enumerate(lines, start=1):
-        line = line.rstrip("\r\n")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split(sep)
         if len(parts) not in (3, 4):
             raise ParseError(f"expected 3 or 4 fields separated by {sep!r}, got {len(parts)}",
                              line_no, path)
-        user_id, item_id = parts[0], parts[1]
         try:
             rating = float(parts[2])
         except ValueError:
             raise ParseError(f"bad rating field {parts[2]!r}", line_no, path) from None
         try:
-            timestamp = int(parts[3]) if len(parts) == 4 else 0
+            if len(parts) == 4:
+                _timestamp(parts[3])
         except ValueError:
             raise ParseError(f"bad timestamp field {parts[3]!r}", line_no, path) from None
         if not (lo <= rating <= hi):
             raise ValidationError(f"rating {rating} outside scale [{lo}, {hi}]", line_no, path)
-        records.append(RatingRecord(user_id, item_id, rating, timestamp))
-    return records
 
 
-def filter_min_interactions(records, threshold: int) -> list:
+def _fields(lines: list, rows: np.ndarray, sep: str, width: int) -> list:
+    """Columns of the ``rows`` lines, each of which has ``width`` fields."""
+    flat = "\n".join(map(lines.__getitem__, rows.tolist())).replace(sep, "\n").split("\n")
+    return [flat[f::width] for f in range(width)]
+
+
+def parse_ratings(source, format: str = "tsv") -> Ratings:
+    """Parse a rating file into columns, one row per rating line.
+
+    ``source`` may be a path, a file object, or bytes; lines end at ``\\n``,
+    ``\\r\\n`` or ``\\r`` for each. Blank lines and lines starting with
+    ``#`` are skipped, and still count in the line numbers of errors.
+    """
+    if format not in _SEPARATORS:
+        raise ValueError(f"unknown format {format!r}")
+    sep = _SEPARATORS[format]
+    text, path = _read_text(source)
+    lines = _lines(text)
+    n = len(lines)
+    skip = np.fromiter(map(str.isspace, lines), bool, n)
+    skip |= np.fromiter(map(len, lines), np.int64, n) == 0
+    if "#" in text:
+        skip |= np.fromiter((line.lstrip()[:1] == "#" for line in lines), bool, n)
+    kept = np.flatnonzero(~skip)
+    widths = np.fromiter(map(str.count, lines, repeat(sep)), np.int64, n)[kept] + 1
+    lo, hi = RATING_SCALE
+    try:
+        if not np.isin(widths, (3, 4)).all():
+            raise ValueError("field count")
+        users, items, rating, timestamp = [], [], [np.zeros(0)], [np.zeros(0, np.int64)]
+        groups = [kept[widths == width] for width in (3, 4)]
+        for width, rows in zip((3, 4), groups):
+            if not len(rows):
+                continue
+            columns = _fields(lines, rows, sep, width)
+            users += columns[0]
+            items += columns[1]
+            rating.append(np.fromiter(map(float, columns[2]), np.float64, len(rows)))
+            timestamp.append(np.fromiter(map(int, columns[3]), np.int64, len(rows))
+                             if width == 4 else np.zeros(len(rows), np.int64))
+        rating, timestamp = np.concatenate(rating), np.concatenate(timestamp)
+        if not ((rating >= lo) & (rating <= hi)).all():
+            raise ValueError("rating scale")
+    except (ValueError, OverflowError):
+        _raise_first_bad_line(lines, sep, path)
+        raise
+    if len(groups[0]) and len(groups[1]):   # back to line order
+        order = np.argsort(np.concatenate(groups), kind="stable")
+        users, items = ([column[i] for i in order.tolist()] for column in (users, items))
+        rating, timestamp = rating[order], timestamp[order]
+    user_ids, item_ids = {}, {}
+    users, items = _encode(users, user_ids), _encode(items, item_ids)
+    return Ratings(list(user_ids), list(item_ids), users, items, rating, timestamp)
+
+
+def filter_min_interactions(records, threshold: int) -> Ratings:
     """Iteratively drop users/items with fewer than ``threshold`` interactions.
 
     Removal cascades (dropping an item can push a user below the threshold),
@@ -116,49 +258,51 @@ def filter_min_interactions(records, threshold: int) -> list:
     """
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
-    if threshold == 0:
-        return list(records)
-    current = list(records)
-    while True:
-        user_counts = Counter(r.user_id for r in current)
-        item_counts = Counter(r.item_id for r in current)
-        kept = [r for r in current
-                if user_counts[r.user_id] >= threshold and item_counts[r.item_id] >= threshold]
-        if len(kept) == len(current):
-            return kept
-        current = kept
+    ratings = as_ratings(records)
+    keep = np.ones(len(ratings), dtype=bool)
+    while threshold:
+        user_counts = np.bincount(ratings.users[keep], minlength=len(ratings.user_ids))
+        item_counts = np.bincount(ratings.items[keep], minlength=len(ratings.item_ids))
+        kept = keep & (user_counts[ratings.users] >= threshold) \
+            & (item_counts[ratings.items] >= threshold)
+        if kept.sum() == keep.sum():
+            break
+        keep = kept
+    return ratings.take(np.flatnonzero(keep))
+
+
+def _first_seen(codes: np.ndarray, ids: list) -> dict:
+    """{id: dense index}, the ids that ``codes`` use in order of first appearance."""
+    present, first = np.unique(codes, return_index=True)
+    ordered = present[np.argsort(first)].tolist()
+    return dict(zip(map(ids.__getitem__, ordered), range(len(ordered))))
 
 
 def build_descriptor(records) -> DatasetDescriptor:
     """Assign dense indices by order of first appearance."""
-    user_index, item_index = {}, {}
-    for r in records:
-        if r.user_id not in user_index:
-            user_index[r.user_id] = len(user_index)
-        if r.item_id not in item_index:
-            item_index[r.item_id] = len(item_index)
+    ratings = as_ratings(records)
+    user_index = _first_seen(ratings.users, ratings.user_ids)
+    item_index = _first_seen(ratings.items, ratings.item_ids)
     return DatasetDescriptor(len(user_index), len(item_index), user_index, item_index)
 
 
 def kfold_split(records, k: int, seed: int) -> list:
-    """Deterministic k-fold partition of the globally shuffled record list."""
-    records = list(records)
+    """Deterministic k-fold partition of the globally shuffled ratings."""
+    ratings = as_ratings(records)
     if k < 2:
         raise ValueError("k must be >= 2")
-    if not records:
+    if not len(ratings):
         raise ValueError("records must be non-empty")
-    if k > len(records):
-        raise ValueError(f"k={k} exceeds record count {len(records)}")
+    if k > len(ratings):
+        raise ValueError(f"k={k} exceeds record count {len(ratings)}")
     rng = substream(seed, "split")
-    order = rng.permutation(len(records))
-    chunks = np.array_split(order, k)
+    order = rng.permutation(len(ratings))
     folds = []
-    for fold_index, test_idx in enumerate(chunks):
-        in_test = np.zeros(len(records), dtype=bool)
+    for fold_index, test_idx in enumerate(np.array_split(order, k)):
+        in_test = np.zeros(len(ratings), dtype=bool)
         in_test[test_idx] = True
-        train = list(map(records.__getitem__, np.flatnonzero(~in_test).tolist()))
-        test = list(map(records.__getitem__, np.flatnonzero(in_test).tolist()))
-        folds.append(FoldSplit(fold_index, train, test))
+        folds.append(FoldSplit(fold_index, ratings.take(np.flatnonzero(~in_test)),
+                               ratings.take(np.flatnonzero(in_test))))
     return folds
 
 
@@ -166,41 +310,68 @@ def write_fold_manifests(folds, directory, force: bool = False) -> list:
     """Write one TSV manifest per fold holding that fold's test records.
 
     Columns: ``fold  user  item  rating  timestamp``. The train set of fold i
-    is the union of every other fold's manifest.
+    is the union of every other fold's manifest. Without ``force``, an
+    existing manifest refuses the split before any file is written.
     """
     os.makedirs(directory, exist_ok=True)
-    paths = []
-    for fold in folds:
-        path = os.path.join(directory, f"fold{fold.fold_index}.tsv")
-        if os.path.exists(path) and not force:
-            raise FileExistsError(f"{path} exists; pass force to overwrite")
+    paths = [os.path.join(directory, f"fold{fold.fold_index}.tsv") for fold in folds]
+    existing = [path for path in paths if os.path.exists(path)]
+    if existing and not force:
+        raise FileExistsError(f"{existing[0]} exists; pass force to overwrite")
+    for fold, path in zip(folds, paths):
+        test = as_ratings(fold.test)
+        line = f"{fold.fold_index}\t{{}}\t{{}}\t{{}}\t{{}}\n".format
+        ratings = test.rating.tolist()
+        formatted = {rating: _format_rating(rating) for rating in set(ratings)}
         with open(path, "w", encoding="utf-8") as fh:
-            for r in fold.test:
-                fh.write("\t".join([str(fold.fold_index), r.user_id, r.item_id,
-                                    _format_rating(r.rating), str(r.timestamp)]) + "\n")
-        paths.append(path)
+            fh.writelines(map(line, map(test.user_ids.__getitem__, test.users.tolist()),
+                              map(test.item_ids.__getitem__, test.items.tolist()),
+                              map(formatted.__getitem__, ratings),
+                              test.timestamp.tolist()))
     return paths
 
 
+def _raise_first_bad_manifest_line(lines: list, path: str) -> None:
+    for line_no, line in enumerate(lines, start=1):
+        parts = line.split("\t")
+        if len(parts) != 5:
+            raise ParseError("expected 5 manifest fields", line_no, path)
+        try:
+            float(parts[3]), _timestamp(parts[4])
+        except ValueError as exc:
+            raise ParseError(f"bad rating or timestamp ({exc})", line_no, path) from None
+
+
 def read_fold_manifests(directory, k: int) -> list:
-    """Reconstruct FoldSplits from manifests written by write_fold_manifests."""
-    tests = []
+    """Reconstruct FoldSplits from manifests written by write_fold_manifests.
+
+    All k manifests are read into one set of columns; fold i's test rows are
+    manifest i's lines and its train rows the other manifests' lines, in
+    manifest order.
+    """
+    if not os.path.isdir(directory):
+        raise FileNotFoundError(f"fold manifests missing at {directory}; run split first")
+    user_ids, item_ids = {}, {}
+    users, items, rating, timestamp, sizes = [], [], [], [], []
     for fold_index in range(k):
         path = os.path.join(directory, f"fold{fold_index}.tsv")
-        records = []
         with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                parts = line.rstrip("\n").split("\t")
-                if len(parts) != 5:
-                    raise ParseError("expected 5 manifest fields", line_no, path)
-                try:
-                    rating, timestamp = float(parts[3]), int(parts[4])
-                except ValueError as exc:
-                    raise ParseError(f"bad rating or timestamp ({exc})", line_no, path) from None
-                records.append(RatingRecord(parts[1], parts[2], rating, timestamp))
-        tests.append(records)
-    folds = []
-    for fold_index in range(k):
-        train = [r for j in range(k) if j != fold_index for r in tests[j]]
-        folds.append(FoldSplit(fold_index, train, tests[fold_index]))
-    return folds
+            lines = _lines(fh.read())
+        n = len(lines)
+        try:
+            if (np.fromiter(map(str.count, lines, repeat("\t")), np.int64, n) != 4).any():
+                raise ValueError("field count")
+            columns = "\t".join(lines).split("\t") if n else []
+            rating.append(np.fromiter(map(float, columns[3::5]), np.float64, n))
+            timestamp.append(np.fromiter(map(int, columns[4::5]), np.int64, n))
+        except (ValueError, OverflowError):
+            _raise_first_bad_manifest_line(lines, path)
+            raise
+        users.append(_encode(columns[1::5], user_ids))
+        items.append(_encode(columns[2::5], item_ids))
+        sizes.append(n)
+    ratings = Ratings(list(user_ids), list(item_ids),
+                      *map(np.concatenate, (users, items, rating, timestamp)))
+    manifest = np.repeat(np.arange(k), sizes)
+    return [FoldSplit(i, ratings.take(np.flatnonzero(manifest != i)),
+                      ratings.take(np.flatnonzero(manifest == i))) for i in range(k)]

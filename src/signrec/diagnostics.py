@@ -113,7 +113,7 @@ def sampler_tv_distance(draws: int = 100_000, seed: int = 11) -> float:
     descriptor = build_descriptor(records)
     g = build_signed_graph(records, descriptor, w_o=3.5)
 
-    probe = descriptor.user("probe")
+    probe = descriptor.user_index["probe"]
     degrees = np.bincount(g.items, minlength=g.num_items).astype(float)
     weights = degrees ** 0.75
     neighbor_items = set(g.items[g.users == probe].tolist())

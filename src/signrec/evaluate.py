@@ -14,10 +14,11 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .data import as_ratings
 
 GROUP_BINS = ((0, 20), (20, 50), (50, math.inf))
 GROUND_TRUTH_MIN_RATING = 4.0
@@ -78,23 +79,35 @@ def topk_recommend(Z: np.ndarray, num_users: int, users, k: int,
     return recs
 
 
+def _item_sets(ratings, descriptor) -> dict:
+    """{dense user: set of dense items} over ``ratings``, users in order of first appearance."""
+    users, items, missing = ratings.dense(descriptor)
+    if missing is not None:
+        raise missing
+    # a stable sort groups each user's rows in row order; the narrowest dtype
+    # lets numpy radix-sort
+    order = np.argsort(users.astype(np.min_scalar_type(int(users.max(initial=0)))),
+                       kind="stable")
+    grouped_users = users[order]
+    starts = np.flatnonzero(np.diff(grouped_users, prepend=-1))
+    grouped = items[order].tolist()
+    sets = list(map(set, map(grouped.__getitem__,
+                             map(slice, starts.tolist(), [*starts[1:].tolist(), len(users)]))))
+    appearance = np.argsort(order[starts]).tolist()   # by each user's first row
+    return dict(zip(grouped_users[starts][appearance].tolist(),
+                    map(sets.__getitem__, appearance)))
+
+
 def ground_truth(test_records, descriptor) -> dict:
     """Per-user set of test items rated at or above the relevance cutoff."""
-    users, items = descriptor.user_index, descriptor.item_index
-    truth = defaultdict(set)
-    for r in test_records:
-        if r.rating >= GROUND_TRUTH_MIN_RATING:
-            truth[users[r.user_id]].add(items[r.item_id])
-    return dict(truth)
+    test = as_ratings(test_records)
+    return _item_sets(test.take(np.flatnonzero(test.rating >= GROUND_TRUTH_MIN_RATING)),
+                      descriptor)
 
 
 def train_interactions(train_records, descriptor) -> dict:
     """Per-user set of training items (both signs), used for exclusion."""
-    users, items = descriptor.user_index, descriptor.item_index
-    seen = defaultdict(set)
-    for r in train_records:
-        seen[users[r.user_id]].add(items[r.item_id])
-    return dict(seen)
+    return _item_sets(as_ratings(train_records), descriptor)
 
 
 def _mean_report(per_k: dict, members: np.ndarray) -> RankingReport:

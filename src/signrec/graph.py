@@ -11,6 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .data import as_ratings
+
 BACKBONES = ("lightgcn", "lrgccf", "ngcf")
 
 
@@ -51,28 +53,25 @@ def build_signed_graph(records, descriptor, w_o: float) -> SignedBipartiteGraph:
 
     Edge weight is ``rating - w_o``; exact-zero weights are dropped since
     they belong to neither sign partition. Repeated (user, item) pairs are
-    rejected rather than deduplicated.
+    rejected rather than deduplicated. Edges keep the ratings' order.
     """
     if w_o <= 0:
         raise ValueError("w_o must be positive")
-    users, items, weights = [], [], []
-    seen = set()
-    for r in records:
-        u = descriptor.user(r.user_id)
-        v = descriptor.item(r.item_id)
-        if (u, v) in seen:
-            raise DuplicateEdgeError(f"repeated interaction ({r.user_id}, {r.item_id})")
-        seen.add((u, v))
-        w = r.rating - w_o
-        if w == 0.0:
-            continue
-        users.append(u)
-        items.append(v)
-        weights.append(w)
+    ratings = as_ratings(records)
+    users, items, missing = ratings.dense(descriptor)
+    keys = users * (int(items.max(initial=-1)) + 1) + items
+    order = np.argsort(keys, kind="stable")
+    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    if len(repeats):  # the first row whose pair an earlier row holds
+        row = repeats.min()
+        raise DuplicateEdgeError(f"repeated interaction ({ratings.user_ids[ratings.users[row]]}, "
+                                 f"{ratings.item_ids[ratings.items[row]]})")
+    if missing is not None:
+        raise missing
+    weights = ratings.rating - w_o
+    edges = weights != 0.0
     return SignedBipartiteGraph(descriptor.num_users, descriptor.num_items,
-                                np.asarray(users, dtype=np.int64),
-                                np.asarray(items, dtype=np.int64),
-                                np.asarray(weights, dtype=np.float64))
+                                users[edges], items[edges], weights[edges])
 
 
 def partition(g: SignedBipartiteGraph) -> PartitionedGraphs:

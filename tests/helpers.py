@@ -7,13 +7,20 @@ loops, so they can vouch for the production implementations.
 from __future__ import annotations
 
 import math
+import os
+from collections import Counter, defaultdict
 
 import numpy as np
 
 from signrec import autodiff as ad
 from signrec import model
 from signrec.autodiff import Tensor
-from signrec.data import DatasetDescriptor, RatingRecord
+from signrec.data import (
+    RATING_SCALE, DatasetDescriptor, FoldSplit, ParseError, RatingRecord, ValidationError,
+    _format_rating,
+)
+from signrec.graph import DuplicateEdgeError, SignedBipartiteGraph
+from signrec.rng import substream
 from signrec.model import forward_tensors
 from signrec.train import TrainingDiverged, TrainingTriples, noise_distribution
 
@@ -615,3 +622,143 @@ def planted_dataset(num_users=400, num_items=400, clusters=4,
                                         int(rng.integers(0, 10_000))))
     rng.shuffle(records)
     return records
+
+
+# ---------------------------------------------------------------------------
+# record-based data path: one RatingRecord per rating, plain loops. The
+# library keeps ratings as columns; these oracles vouch for it.
+
+def reference_parse_ratings(source, format="tsv"):
+    sep = {"tsv": "\t", "movielens-dat": "::"}[format]
+    path = os.fspath(source) if isinstance(source, (str, os.PathLike)) else None
+    if path is not None:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    elif isinstance(source, bytes):
+        lines = source.decode("utf-8").splitlines()
+    else:
+        lines = source.readlines()
+    lo, hi = RATING_SCALE
+    records = []
+    for line_no, line in enumerate(lines, start=1):
+        line = line.rstrip("\r\n")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        parts = line.split(sep)
+        if len(parts) not in (3, 4):
+            raise ParseError(f"expected 3 or 4 fields separated by {sep!r}, got {len(parts)}",
+                             line_no, path)
+        user_id, item_id = parts[0], parts[1]
+        try:
+            rating = float(parts[2])
+        except ValueError:
+            raise ParseError(f"bad rating field {parts[2]!r}", line_no, path) from None
+        try:
+            timestamp = int(parts[3]) if len(parts) == 4 else 0
+        except ValueError:
+            raise ParseError(f"bad timestamp field {parts[3]!r}", line_no, path) from None
+        if not (lo <= rating <= hi):
+            raise ValidationError(f"rating {rating} outside scale [{lo}, {hi}]", line_no, path)
+        records.append(RatingRecord(user_id, item_id, rating, timestamp))
+    return records
+
+
+def reference_filter_min_interactions(records, threshold):
+    current = list(records)
+    if threshold == 0:
+        return current
+    while True:
+        user_counts = Counter(r.user_id for r in current)
+        item_counts = Counter(r.item_id for r in current)
+        kept = [r for r in current
+                if user_counts[r.user_id] >= threshold and item_counts[r.item_id] >= threshold]
+        if len(kept) == len(current):
+            return kept
+        current = kept
+
+
+def reference_build_descriptor(records):
+    user_index, item_index = {}, {}
+    for r in records:
+        user_index.setdefault(r.user_id, len(user_index))
+        item_index.setdefault(r.item_id, len(item_index))
+    return DatasetDescriptor(len(user_index), len(item_index), user_index, item_index)
+
+
+def reference_kfold_split(records, k, seed):
+    records = list(records)
+    order = substream(seed, "split").permutation(len(records))
+    folds = []
+    for fold_index, test_idx in enumerate(np.array_split(order, k)):
+        in_test = np.zeros(len(records), dtype=bool)
+        in_test[test_idx] = True
+        folds.append(FoldSplit(fold_index,
+                               [r for r, t in zip(records, in_test) if not t],
+                               [r for r, t in zip(records, in_test) if t]))
+    return folds
+
+
+def reference_write_fold_manifests(folds, directory):
+    os.makedirs(directory, exist_ok=True)
+    for fold in folds:
+        with open(os.path.join(directory, f"fold{fold.fold_index}.tsv"), "w",
+                  encoding="utf-8") as fh:
+            for r in fold.test:
+                fh.write("\t".join([str(fold.fold_index), r.user_id, r.item_id,
+                                    _format_rating(r.rating), str(r.timestamp)]) + "\n")
+
+
+def reference_read_fold_manifests(directory, k):
+    tests = []
+    for fold_index in range(k):
+        path = os.path.join(directory, f"fold{fold_index}.tsv")
+        records = []
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                parts = line.rstrip("\n").split("\t")
+                if len(parts) != 5:
+                    raise ParseError("expected 5 manifest fields", line_no, path)
+                try:
+                    rating, timestamp = float(parts[3]), int(parts[4])
+                except ValueError as exc:
+                    raise ParseError(f"bad rating or timestamp ({exc})", line_no, path) from None
+                records.append(RatingRecord(parts[1], parts[2], rating, timestamp))
+        tests.append(records)
+    return [FoldSplit(i, [r for j in range(k) if j != i for r in tests[j]], tests[i])
+            for i in range(k)]
+
+
+def reference_build_signed_graph(records, descriptor, w_o):
+    users, items, weights = [], [], []
+    seen = set()
+    for r in records:
+        u = descriptor.user_index[r.user_id]
+        v = descriptor.item_index[r.item_id]
+        if (u, v) in seen:
+            raise DuplicateEdgeError(f"repeated interaction ({r.user_id}, {r.item_id})")
+        seen.add((u, v))
+        w = r.rating - w_o
+        if w == 0.0:
+            continue
+        users.append(u)
+        items.append(v)
+        weights.append(w)
+    return SignedBipartiteGraph(descriptor.num_users, descriptor.num_items,
+                                np.asarray(users, dtype=np.int64),
+                                np.asarray(items, dtype=np.int64),
+                                np.asarray(weights, dtype=np.float64))
+
+
+def reference_ground_truth(test_records, descriptor):
+    truth = defaultdict(set)
+    for r in test_records:
+        if r.rating >= 4.0:
+            truth[descriptor.user_index[r.user_id]].add(descriptor.item_index[r.item_id])
+    return dict(truth)
+
+
+def reference_train_interactions(train_records, descriptor):
+    seen = defaultdict(set)
+    for r in train_records:
+        seen[descriptor.user_index[r.user_id]].add(descriptor.item_index[r.item_id])
+    return dict(seen)

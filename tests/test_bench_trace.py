@@ -6,17 +6,19 @@ of a traced run's result. These tests run the tracer over a tiny training
 and evaluation, so a rename in ``src/`` that the benchmark still names
 fails here, not in a benchmark run.
 """
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from signrec import evaluate, train
+from signrec import cli, evaluate, train
 from signrec.graph import build_signed_graph
 from signrec.model import ModelConfig
 
-from helpers import random_records, toy_descriptor
+from helpers import latent_factor_dataset, random_records, toy_descriptor
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -65,3 +67,34 @@ def test_tensors_per_training_step(tracing, backbone):
         cfg = ModelConfig(backbone=backbone, variant=variant, dim=4, gnn_layers=2, attn_dim=3)
         metrics, _ = traced_training(tracing, cfg).layer_metrics()
         assert metrics["autodiff.tensors_per_step"][0] == count, variant
+
+
+def test_split_and_evaluate_reach_the_data_layer_trace_targets(tracing, tmp_path):
+    """`signrec split` then `signrec evaluate` at desk size, as the
+    ml1m-evaluate workload runs them: the parse, the manifest read and the
+    truth and exclusion sets each report time, and the parse counts every
+    rating line of each of the two commands."""
+    records = latent_factor_dataset(seed=2)
+    dataset = tmp_path / "desk.tsv"
+    dataset.write_text("".join(f"{r.user_id}\t{r.item_id}\t{int(r.rating)}\t{r.timestamp}\n"
+                               for r in records))
+    users = len({r.user_id for r in records})
+    items = len({r.item_id for r in records})
+    common = ["--dataset", str(dataset), "--folds", "5", "--seed", "3",
+              "--out", str(tmp_path / "out")]
+    run = tmp_path / "run"
+    (run / "reports").mkdir(parents=True)
+    (run / "config").write_text(json.dumps({"fold": 1}))
+    np.save(run / "embeddings.npy",
+            np.random.default_rng(0).standard_normal((users + items, 8)))
+    tracer = tracing.Tracer("test")
+    with tracer.installed(), contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["split", *common]) == cli.EXIT_OK
+        assert cli.main(["evaluate", *common, "--run", str(run), "--k", "10"]) == cli.EXIT_OK
+    metrics, absent = tracer.layer_metrics()
+    assert tracer.missing == [] and absent == []
+    for name in ("data.parse_s", "data.parse_lines_per_s", "data.kfold_split_s",
+                 "data.manifest_write_s", "data.manifest_read_s", "evaluate.truth_exclude_s",
+                 "evaluate.evaluate_s", "cli.split_self_s", "cli.evaluate_self_s"):
+        assert metrics[name][0] > 0, name
+    assert tracer.counts["parsed_lines"] == 2 * len(records)

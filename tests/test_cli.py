@@ -8,7 +8,8 @@ import pytest
 
 import signrec
 from signrec.cli import (
-    EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main, read_config_file,
+    EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, ExperimentConfig, main, read_config_file,
+    run_dir_name,
 )
 from signrec.data import (
     build_descriptor, filter_min_interactions, parse_ratings, read_fold_manifests,
@@ -64,6 +65,18 @@ def test_split_refuses_overwrite_without_force(dataset_path, tmp_path):
     assert main(["split"] + base_args(dataset_path, out)) == EXIT_DATA
 
 
+def test_split_without_force_writes_nothing_if_any_manifest_exists(dataset_path, tmp_path,
+                                                                   capsys):
+    out = tmp_path / "runs"
+    manifests = out / "toy-folds-k3-seed11"
+    manifests.mkdir(parents=True)
+    (manifests / "fold1.tsv").write_text("kept\n")
+    assert main(["split"] + base_args(dataset_path, str(out))) == EXIT_DATA
+    assert "fold1.tsv exists" in capsys.readouterr().err
+    assert sorted(p.name for p in manifests.iterdir()) == ["fold1.tsv"]
+    assert (manifests / "fold1.tsv").read_text() == "kept\n"
+
+
 def test_split_k1_is_usage_error(dataset_path, tmp_path):
     out = str(tmp_path / "runs")
     code = main(["split", "--dataset", dataset_path, "--folds", "1", "--out", out])
@@ -77,6 +90,14 @@ def test_missing_subcommand_is_usage_error():
 def test_train_without_manifests_is_data_error(dataset_path, tmp_path):
     out = str(tmp_path / "runs")
     assert main(train_args(dataset_path, out)) == EXIT_DATA
+
+
+def test_evaluate_without_manifests_names_split(dataset_path, tmp_path, capsys):
+    out = str(tmp_path / "runs")
+    code = main(["evaluate"] + base_args(dataset_path, out) + ["--run", str(tmp_path / "run")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "fold manifests missing at" in err and "run split first" in err
 
 
 def test_train_evaluate_cycle(dataset_path, tmp_path):
@@ -410,6 +431,42 @@ def test_training_with_no_triples_is_data_error(tmp_path, capsys):
     assert main(["train"] + args + ["--epochs", "1"]) == EXIT_DATA
     assert "no training triples" in capsys.readouterr().err
     assert not list(out.rglob("epochs.csv"))
+
+
+def _one_user_split(tmp_path):
+    """A split of one user's four ratings, as in the no-triples test; the train args."""
+    path = tmp_path / "one.tsv"
+    path.write_text("".join(f"1\t{i}\t{r}\t0\n" for i, r in enumerate([5, 1, 4, 2])))
+    out = tmp_path / "runs"
+    args = ["--dataset", str(path), "--folds", "2", "--out", str(out)]
+    assert main(["split"] + args) == EXIT_OK
+    return out, ["train"] + args + ["--epochs", "1"]
+
+
+def test_failed_training_leaves_no_run_directory(dataset_path, tmp_path):
+    out, args = _one_user_split(tmp_path)
+    before = sorted(p.name for p in out.iterdir())
+    assert main(args) == EXIT_DATA    # no training triples
+    assert sorted(p.name for p in out.iterdir()) == before
+
+    runs = tmp_path / "diverged"
+    assert main(["split"] + base_args(dataset_path, str(runs))) == EXIT_OK
+    before = sorted(p.name for p in runs.iterdir())
+    with np.errstate(all="ignore"):
+        assert main(train_args(dataset_path, str(runs), lr="1e200")) == EXIT_NUMERICAL
+    assert sorted(p.name for p in runs.iterdir()) == before
+
+
+def test_failed_training_keeps_an_existing_run_directory(tmp_path):
+    out, args = _one_user_split(tmp_path)
+    cfg = ExperimentConfig(dataset=str(tmp_path / "one.tsv"), out=str(out))
+    run_dir = out / os.path.basename(run_dir_name(cfg, 0))
+    (run_dir / "logs").mkdir(parents=True)
+    (run_dir / "logs" / "notes.txt").write_text("earlier run\n")
+    assert main(args) == EXIT_DATA
+    assert [p.relative_to(run_dir).as_posix() for p in sorted(run_dir.rglob("*"))] \
+        == ["logs", "logs/notes.txt"]
+    assert (run_dir / "logs" / "notes.txt").read_text() == "earlier run\n"
 
 
 def test_manifests_of_another_filtering_are_data_errors(dataset_path, tmp_path, capsys):

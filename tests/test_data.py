@@ -1,26 +1,31 @@
 import io
-from collections import Counter
+import os
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from signrec.data import (
-    ParseError, RatingRecord, ValidationError, build_descriptor,
+    ParseError, RatingRecord, Ratings, ValidationError, build_descriptor,
     filter_min_interactions, kfold_split, parse_ratings,
     read_fold_manifests, write_fold_manifests,
 )
+from signrec.evaluate import ground_truth, train_interactions
+from signrec.graph import DuplicateEdgeError, build_signed_graph
+
+import helpers
 
 
 def test_parse_tsv_line():
     records = parse_ratings(b"7\t42\t5\t0\n")
-    assert records == [RatingRecord("7", "42", 5.0, 0)]
+    assert list(records) == [RatingRecord("7", "42", 5.0, 0)]
 
 
 def test_parse_movielens_dat_line():
     # "::"-separated, per the public ML-1M distribution
     records = parse_ratings(b"1::1193::5::978300760\n", format="movielens-dat")
-    assert records == [RatingRecord("1", "1193", 5.0, 978300760)]
+    assert list(records) == [RatingRecord("1", "1193", 5.0, 978300760)]
 
 
 def test_parse_skips_comments_and_blank_lines():
@@ -46,32 +51,18 @@ def test_rating_outside_scale_rejected():
 
 def test_parse_fractional_rating_and_timestamp():
     records = parse_ratings(b"1\t2\t5\t100\n3\t4\t2.5\t0\n")
-    assert records == [RatingRecord("1", "2", 5.0, 100), RatingRecord("3", "4", 2.5, 0)]
+    assert list(records) == [RatingRecord("1", "2", 5.0, 100), RatingRecord("3", "4", 2.5, 0)]
 
 
 def test_filter_threshold_boundary():
     records = [RatingRecord("u", f"i{k}", 4.0) for k in range(19)]
     # every item also has degree 1 < 20, but user-side alone already drops all
-    assert filter_min_interactions(records, 20) == []
+    assert list(filter_min_interactions(records, 20)) == []
 
 
 def test_filter_threshold_zero_identity():
     records = [RatingRecord("u", "i", 4.0)]
-    assert filter_min_interactions(records, 0) == records
-
-
-def brute_force_filter(records, threshold):
-    current = list(records)
-    changed = True
-    while changed:
-        changed = False
-        users = Counter(r.user_id for r in current)
-        items = Counter(r.item_id for r in current)
-        kept = [r for r in current if users[r.user_id] >= threshold and items[r.item_id] >= threshold]
-        if len(kept) != len(current):
-            changed = True
-            current = kept
-    return current
+    assert list(filter_min_interactions(records, 0)) == records
 
 
 def test_filter_cascaded_removal_matches_fixed_point_oracle():
@@ -83,7 +74,7 @@ def test_filter_cascaded_removal_matches_fixed_point_oracle():
         RatingRecord("u2", "i1", 4.0), RatingRecord("u2", "i2", 4.0),
     ]
     result = filter_min_interactions(records, 2)
-    assert result == brute_force_filter(records, 2)
+    assert list(result) == helpers.reference_filter_min_interactions(records, 2)
     assert all(r.user_id != "u0" for r in result)
 
 
@@ -93,7 +84,7 @@ def test_filter_cascaded_removal_matches_fixed_point_oracle():
 def test_filter_is_fixed_point(pairs, threshold):
     records = [RatingRecord(f"u{u}", f"i{v}", 4.0) for u, v in set(pairs)]
     once = filter_min_interactions(records, threshold)
-    assert filter_min_interactions(once, threshold) == once
+    assert list(filter_min_interactions(once, threshold)) == list(once)
 
 
 def _records(n):
@@ -110,7 +101,8 @@ def test_kfold_sizes():
 def test_kfold_deterministic():
     a = kfold_split(_records(23), 4, seed=9)
     b = kfold_split(_records(23), 4, seed=9)
-    assert all(x.test == y.test and x.train == y.train for x, y in zip(a, b))
+    assert all(list(x.test) == list(y.test) and list(x.train) == list(y.train)
+               for x, y in zip(a, b))
 
 
 def test_kfold_partition_property():
@@ -119,8 +111,9 @@ def test_kfold_partition_property():
     all_test = [r for f in folds for r in f.test]
     assert sorted(all_test, key=lambda r: r.timestamp) == records
     for f in folds:
-        assert sorted(f.train + f.test, key=lambda r: r.timestamp) == records
-        assert not set(id(r) for r in f.train) & set(id(r) for r in f.test)
+        assert sorted([*f.train, *f.test], key=lambda r: r.timestamp) == records
+        # each record's timestamp is its row number
+        assert not {r.timestamp for r in f.train} & {r.timestamp for r in f.test}
 
 
 def test_kfold_rejects_bad_k():
@@ -133,8 +126,8 @@ def test_kfold_rejects_bad_k():
 def test_descriptor_first_appearance_order():
     records = parse_ratings(b"9\t5\t4\t0\n3\t5\t4\t0\n9\t8\t4\t0\n")
     desc = build_descriptor(records)
-    assert desc.user("9") == 0 and desc.user("3") == 1
-    assert desc.item("5") == 0 and desc.item("8") == 1
+    assert desc.user_index == {"9": 0, "3": 1}
+    assert desc.item_index == {"5": 0, "8": 1}
     assert desc.num_users == 2 and desc.num_items == 2
 
 
@@ -149,3 +142,181 @@ def test_fold_manifest_round_trip(tmp_path):
     with pytest.raises(FileExistsError):
         write_fold_manifests(folds, tmp_path)
     write_fold_manifests(folds, tmp_path, force=True)
+
+
+# ---------------------------------------------------------------------------
+# columns against the record-based reference path (tests/helpers.py)
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the type, text and line number of what it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, KeyError) as exc:
+        return ("raised", type(exc), str(exc), getattr(exc, "line_no", None))
+
+
+_IDS = st.sampled_from(["1", "2", "10", "u7", "é", " x", "a:b", "#3"])
+_RATINGS = st.sampled_from(["5", "1", "3", "4.5", "2.25", " 4", "4.0", "1e0", "3.5",
+                            "9", "0.5", "nan", "x", ""])
+_STAMPS = st.sampled_from(["0", "978300760", "-3", " 12", "007", "t", "1.5",
+                           str(2**63 - 1)])
+
+
+@st.composite
+def _rating_files(draw):
+    """Text of a rating file and its format."""
+    format = draw(st.sampled_from(["tsv", "movielens-dat"]))
+    sep = {"tsv": "\t", "movielens-dat": "::"}[format]
+    good = draw(st.booleans())   # most files parse, so the later stages run
+    lines = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(["rating"] * 6 + ["comment", "blank", "short"]))
+        if kind == "comment":
+            line = draw(st.sampled_from(["#", "# header", "  #x\t1\t2"]))
+        elif kind == "blank":
+            line = draw(st.sampled_from(["", " ", "\t", " \t "]))
+        elif kind == "short" and not good:
+            line = sep.join(["1", "2", "3", "4", "5"][:draw(st.sampled_from([1, 2, 5]))])
+        else:
+            fields = [draw(_IDS), draw(_IDS), draw(_RATINGS)]
+            if draw(st.booleans()):
+                fields.append(draw(_STAMPS))
+            if good:
+                fields[2] = draw(st.sampled_from(["5", "1", "2.5", " 4", "3.0", "4.75"]))
+                fields[3:] = [draw(st.sampled_from(["0", "17", "-2", " 9"]))
+                              for _ in fields[3:]]
+            line = sep.join(fields)
+        lines.append(line + draw(st.sampled_from(["\n", "\r\n"])))
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    return "".join(lines), format
+
+
+def _same(new, old):
+    """Outcomes match: equal errors, or equal records in order."""
+    if isinstance(old, tuple) or isinstance(new, tuple):
+        assert new == old
+        return False
+    assert list(new) == old
+    return True
+
+
+@given(_rating_files(), st.integers(0, 3), st.integers(2, 4), st.integers(0, 5))
+@settings(max_examples=150, deadline=None)
+def test_columns_match_the_record_path(file, threshold, k, seed):
+    text, format = file
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ratings.txt")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        for source in (path, text.encode("utf-8"), io.StringIO(text, newline="")):
+            new = _outcome(parse_ratings, source, format)
+            if isinstance(source, io.StringIO):
+                source.seek(0)
+            old = _outcome(helpers.reference_parse_ratings, source, format)
+            parsed = _same(new, old)
+        event(f"parsed: {parsed}")
+        if not parsed:
+            return
+        ratings, records = new, old
+        ratings = filter_min_interactions(ratings, threshold)
+        records = helpers.reference_filter_min_interactions(records, threshold)
+        assert list(ratings) == records
+        desc, ref_desc = build_descriptor(ratings), helpers.reference_build_descriptor(records)
+        assert list(desc.user_index.items()) == list(ref_desc.user_index.items())
+        assert list(desc.item_index.items()) == list(ref_desc.item_index.items())
+        event(f"split: {1 < k <= len(records)}")
+        if not 1 < k <= len(records):
+            return
+        folds, ref_folds = kfold_split(ratings, k, seed), helpers.reference_kfold_split(records, k, seed)
+        write_fold_manifests(folds, os.path.join(tmp, "new"))
+        helpers.reference_write_fold_manifests(ref_folds, os.path.join(tmp, "old"))
+        for i in range(k):
+            name = f"fold{i}.tsv"
+            with open(os.path.join(tmp, "new", name), "rb") as a, \
+                    open(os.path.join(tmp, "old", name), "rb") as b:
+                assert a.read() == b.read()
+        back = read_fold_manifests(os.path.join(tmp, "new"), k)
+        ref_back = helpers.reference_read_fold_manifests(os.path.join(tmp, "new"), k)
+        for fold, ref_fold, split_fold in zip(back, ref_back, folds):
+            assert list(fold.train) == ref_fold.train
+            assert list(fold.test) == ref_fold.test == list(split_fold.test)
+            g = _outcome(build_signed_graph, fold.train, desc, 3.5)
+            ref_g = _outcome(helpers.reference_build_signed_graph, ref_fold.train, desc, 3.5)
+            event(f"graph built: {not isinstance(ref_g, tuple)}")
+            if isinstance(ref_g, tuple):
+                assert g == ref_g
+            else:
+                for name in ("num_users", "num_items", "users", "items", "weights"):
+                    a, b = getattr(g, name), getattr(ref_g, name)
+                    assert np.asarray(a).dtype == np.asarray(b).dtype
+                    assert np.array_equal(a, b)
+            # dict equality ignores order: compare the items in order
+            assert list(ground_truth(fold.test, desc).items()) \
+                == list(helpers.reference_ground_truth(ref_fold.test, desc).items())
+            assert list(train_interactions(fold.train, desc).items()) \
+                == list(helpers.reference_train_interactions(ref_fold.train, desc).items())
+
+
+@pytest.mark.parametrize("text", [
+    b"1\t2\t5\t0\n# note\n\n1\t2\n",              # field count, after skipped lines
+    b"1\t2\t5\t0\r\n3\t4\tx\t0\r\n",              # bad rating
+    b"1\t2\t5\t0\n3\t4\t5\tt\n",                  # bad timestamp
+    b"1\t2\t5\n3\t4\t9\t0\n",                     # off the scale
+    b"1\t2\tnan\n",                               # NaN
+    b"1\t2\tx\t0\n1\t2\n",                        # the first of two bad lines
+], ids=["fields", "rating", "timestamp", "scale", "nan", "first-bad-line"])
+def test_parse_errors_match_the_record_path(tmp_path, text):
+    path = tmp_path / "bad.tsv"
+    path.write_bytes(text)
+    for source in (str(path), text):
+        new = _outcome(parse_ratings, source)
+        assert new[0] == "raised" and new[3] is not None
+        assert new == _outcome(helpers.reference_parse_ratings, source)
+
+
+@pytest.mark.parametrize("line", ["0\tu\ti\t5", "0\tu\ti\tx\t1", "0\tu\ti\t5\tt"],
+                         ids=["fields", "rating", "timestamp"])
+def test_manifest_errors_match_the_record_path(tmp_path, line):
+    (tmp_path / "fold0.tsv").write_text("0\tu\tj\t4\t1\n")
+    (tmp_path / "fold1.tsv").write_text(f"1\tv\ti\t4\t1\n{line}\n")
+    new = _outcome(read_fold_manifests, tmp_path, 2)
+    assert new[0] == "raised" and new[3] == 2
+    assert new == _outcome(helpers.reference_read_fold_manifests, tmp_path, 2)
+
+
+def test_repeated_pair_and_missing_id_errors_match_the_record_path():
+    records = [RatingRecord("u", "i", 5.0), RatingRecord("v", "j", 4.0),
+               RatingRecord("u", "i", 1.0), RatingRecord("w", "i", 5.0)]
+    desc = helpers.reference_build_descriptor(records)
+    new = _outcome(build_signed_graph, records, desc, 3.5)
+    assert new[1] is DuplicateEdgeError and "(u, i)" in new[2]
+    assert new == _outcome(helpers.reference_build_signed_graph, records, desc, 3.5)
+    # an id that the descriptor lacks: the first such row, user before item,
+    # and the graph's repeated pair only if it comes before that row
+    short = helpers.reference_build_descriptor(records[:2])
+    for rows in (records, records[:1] + records[3:], [RatingRecord("v", "k", 5.0), *records]):
+        for fn, ref in ((ground_truth, helpers.reference_ground_truth),
+                        (train_interactions, helpers.reference_train_interactions)):
+            new = _outcome(fn, rows, short)
+            assert new == _outcome(ref, rows, short)
+        new = _outcome(build_signed_graph, rows, short, 3.5)
+        assert new[0] == "raised"
+        assert new == _outcome(helpers.reference_build_signed_graph, rows, short, 3.5)
+
+
+def test_timestamp_outside_int64_is_a_parse_error():
+    with pytest.raises(ParseError, match="bad timestamp field") as exc:
+        parse_ratings(f"1\t2\t5\t0\n1\t3\t5\t{2**63}\n".encode())
+    assert exc.value.line_no == 2
+
+
+def test_ratings_iterate_take_and_accept_records():
+    ratings = parse_ratings(b"a\tx\t5\t3\nb\ty\t1\nA\tx\t2.5\t-1\n")
+    assert len(ratings) == 3
+    assert ratings.user_ids == ["a", "b", "A"] and ratings.item_ids == ["x", "y"]
+    assert ratings.users.dtype == ratings.items.dtype == ratings.timestamp.dtype == np.int64
+    assert list(ratings.take([2, 0])) == [RatingRecord("A", "x", 2.5, -1),
+                                          RatingRecord("a", "x", 5.0, 3)]
+    again = Ratings.from_records(list(ratings))
+    assert list(again) == list(ratings) and again.user_ids == ratings.user_ids

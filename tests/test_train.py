@@ -86,9 +86,9 @@ def test_degree_based_sampling_odds():
     desc = build_descriptor(records)
     g = build_signed_graph(records, desc, 3.5)
     triples = sample_negatives(g, 2000, substream(4, "s"))
-    mask = triples.users == desc.user("probe")
+    mask = triples.users == desc.user_index["probe"]
     counts = np.bincount(triples.negatives[mask], minlength=g.num_items)
-    lo, hi = counts[desc.item("lo")], counts[desc.item("hi")]
+    lo, hi = counts[desc.item_index["lo"]], counts[desc.item_index["hi"]]
     assert lo + hi == mask.sum()
     assert abs(hi / (lo + hi) - 8 / 9) < 0.02
 
