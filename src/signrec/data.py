@@ -331,7 +331,7 @@ def write_fold_manifests(folds, directory, force: bool = False) -> list:
     return paths
 
 
-def _raise_first_bad_manifest_line(lines: list, path: str) -> None:
+def _raise_first_bad_manifest_line(lines: list, path: str, fold_index: int) -> None:
     for line_no, line in enumerate(lines, start=1):
         parts = line.split("\t")
         if len(parts) != 5:
@@ -340,6 +340,9 @@ def _raise_first_bad_manifest_line(lines: list, path: str) -> None:
             float(parts[3]), _timestamp(parts[4])
         except ValueError as exc:
             raise ParseError(f"bad rating or timestamp ({exc})", line_no, path) from None
+        if parts[0] != str(fold_index):
+            raise ParseError(f"fold column {parts[0]!r} in the manifest of fold {fold_index}",
+                             line_no, path)
 
 
 def read_fold_manifests(directory, k: int) -> list:
@@ -347,7 +350,8 @@ def read_fold_manifests(directory, k: int) -> list:
 
     All k manifests are read into one set of columns; fold i's test rows are
     manifest i's lines and its train rows the other manifests' lines, in
-    manifest order.
+    manifest order. Every line of manifest i must name fold i, so a manifest
+    copied or renamed into another fold's file is a ``ParseError``.
     """
     if not os.path.isdir(directory):
         raise FileNotFoundError(f"fold manifests missing at {directory}; run split first")
@@ -364,8 +368,10 @@ def read_fold_manifests(directory, k: int) -> list:
             columns = "\t".join(lines).split("\t") if n else []
             rating.append(np.fromiter(map(float, columns[3::5]), np.float64, n))
             timestamp.append(np.fromiter(map(int, columns[4::5]), np.int64, n))
+            if columns[0::5].count(str(fold_index)) != n:
+                raise ValueError("fold column")
         except (ValueError, OverflowError):
-            _raise_first_bad_manifest_line(lines, path)
+            _raise_first_bad_manifest_line(lines, path, fold_index)
             raise
         users.append(_encode(columns[1::5], user_ids))
         items.append(_encode(columns[2::5], item_ids))

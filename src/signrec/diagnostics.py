@@ -57,8 +57,7 @@ def gradient_max_relative_error(cfg: ModelConfig, seed: int = 7, h: float = 1e-4
     exercising the failure path.
     """
     g = tiny_instance(seed=seed)
-    parts = partition(g)
-    adjs = AdjacencySet.build(parts, cfg)
+    adjs = AdjacencySet.build(g, cfg)
     state = init_state(cfg, g.num_users, g.num_items, substream(seed, "init"))
     triples = sample_negatives(g, 2, substream(seed, "sampling"))
     tcfg = TrainConfig(c=c, lambda_reg=lambda_reg)
@@ -150,9 +149,11 @@ def check_partition(cases: int = 200, seed: int = 13) -> CheckResult:
                                        {f"u{u}": u for u in range(num_users)},
                                        {f"i{v}": v for v in range(num_items)})
         g = build_signed_graph(records, descriptor, w_o=3.5)
-        parts = partition(g)
-        ok = (len(parts.positive[2]) + len(parts.negative[2]) == g.num_edges
-              and (parts.positive[2] > 0).all() and (parts.negative[2] < 0).all())
+        positive, negative = partition(g)
+        ok = (positive.num_edges + negative.num_edges == g.num_edges
+              and (positive.weights > 0).all() and (negative.weights < 0).all()
+              and {(h.num_users, h.num_items) for h in (positive, negative)}
+              == {(g.num_users, g.num_items)})
         if not ok:
             failures += 1
     return CheckResult("partition-invariants", failures == 0,

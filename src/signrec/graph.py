@@ -1,5 +1,5 @@
-"""Signed bipartite graph construction, sign partitioning, and normalized
-sparse adjacencies for each GNN backbone.
+"""Signed bipartite graph construction, its partition into a positive and a
+negative graph, and normalized sparse adjacencies for each GNN backbone.
 
 Node indexing convention: users occupy 0..M-1 and items occupy M..M+N-1 in
 the shared (M+N)-node space used by adjacencies and embeddings.
@@ -34,18 +34,10 @@ class SignedBipartiteGraph:
 
 
 @dataclass(frozen=True)
-class PartitionedGraphs:
-    num_users: int
-    num_items: int
-    positive: tuple  # (users, items, weights) with weights > 0
-    negative: tuple  # (users, items, weights) with weights < 0
-
-
-@dataclass(frozen=True)
 class NormalizedAdjacency:
     variant: str
     matrix: sp.csr_matrix     # (M+N) x (M+N) propagation coefficients
-    degrees: np.ndarray       # neighbor count per node in the source edge set
+    degrees: np.ndarray       # neighbor count per node in the source graph
 
 
 def build_signed_graph(records, descriptor, w_o: float) -> SignedBipartiteGraph:
@@ -74,52 +66,33 @@ def build_signed_graph(records, descriptor, w_o: float) -> SignedBipartiteGraph:
                                 users[edges], items[edges], weights[edges])
 
 
-def partition(g: SignedBipartiteGraph) -> PartitionedGraphs:
-    """Route edges by sign; both node sets are retained in both graphs."""
-    pos = g.weights > 0
-    neg = g.weights < 0
-    return PartitionedGraphs(
-        g.num_users, g.num_items,
-        positive=(g.users[pos], g.items[pos], g.weights[pos]),
-        negative=(g.users[neg], g.items[neg], g.weights[neg]),
-    )
+def partition(g: SignedBipartiteGraph) -> tuple[SignedBipartiteGraph, SignedBipartiteGraph]:
+    """Split ``g`` by edge sign into ``(positive, negative)`` graphs.
+
+    Both keep every node of ``g``, and each keeps its edges in ``g``'s order.
+    """
+    return tuple(SignedBipartiteGraph(g.num_users, g.num_items,
+                                      g.users[m], g.items[m], g.weights[m])
+                 for m in (g.weights > 0, g.weights < 0))
 
 
-def positive_subgraph(g: SignedBipartiteGraph) -> SignedBipartiteGraph:
-    """Graph restricted to positive edges (baseline training mode)."""
-    pos = g.weights > 0
-    return SignedBipartiteGraph(g.num_users, g.num_items,
-                                g.users[pos], g.items[pos], g.weights[pos])
-
-
-def _edge_arrays(p: PartitionedGraphs, edge_set: str):
-    if edge_set == "positive":
-        return p.positive[0], p.positive[1]
-    if edge_set == "negative":
-        return p.negative[0], p.negative[1]
-    if edge_set == "all":
-        return (np.concatenate([p.positive[0], p.negative[0]]),
-                np.concatenate([p.positive[1], p.negative[1]]))
-    raise ValueError(f"unknown edge set {edge_set!r}")
-
-
-def normalized_adjacency(p: PartitionedGraphs, variant: str,
-                         edge_set: str = "positive") -> NormalizedAdjacency:
-    """Build the symmetric degree-normalized propagation matrix.
+def normalized_adjacency(g: SignedBipartiteGraph, variant: str) -> NormalizedAdjacency:
+    """Build the symmetric degree-normalized propagation matrix over every
+    edge of ``g``.
 
     Coefficients per backbone:
       lightgcn / ngcf : 1 / sqrt(|N_x| |N_y|), neighbors only
       lrgccf          : 1 / (sqrt(|N_x|+1) sqrt(|N_y|+1)), neighbors and self
 
-    Only the sign routing depends on edge weights; magnitudes never enter
-    the coefficients.
+    Edge weights never enter the coefficients: partition ``g`` first to
+    propagate over one sign. The CSR conversion sums and sorts the entries,
+    so the matrix does not depend on the order of ``g``'s edges.
     """
     if variant not in BACKBONES:
         raise ValueError(f"unknown backbone {variant!r}")
-    n_nodes = p.num_users + p.num_items
-    users, items = _edge_arrays(p, edge_set)
-    rows = np.concatenate([users, items + p.num_users])
-    cols = np.concatenate([items + p.num_users, users])
+    n_nodes = g.num_users + g.num_items
+    rows = np.concatenate([g.users, g.items + g.num_users])
+    cols = np.concatenate([g.items + g.num_users, g.users])
     degrees = np.bincount(rows, minlength=n_nodes).astype(np.int64)
 
     if variant == "lrgccf":

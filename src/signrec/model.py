@@ -14,7 +14,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graph import BACKBONES, NormalizedAdjacency, normalized_adjacency
+from .graph import (BACKBONES, NormalizedAdjacency, SignedBipartiteGraph, normalized_adjacency,
+                    partition)
 
 VARIANTS = ("mlp-gn", "gnn-gn", "no-gn", "no-split")
 
@@ -150,21 +151,22 @@ def attention_fuse(z_p: Tensor, z_n: Tensor, state: ModelState, cfg: ModelConfig
 
 @dataclass
 class AdjacencySet:
-    """Variant-matched adjacencies for the paths a configuration needs."""
+    """The variant-matched adjacency of each GNN path, named after the path's
+    parameter prefix: ``gnn`` over the positive graph (the whole graph for
+    ``no-split``), and ``gnn_neg`` over the negative graph (``gnn-gn`` only)."""
 
-    positive: NormalizedAdjacency
-    negative: NormalizedAdjacency | None = None
-    full: NormalizedAdjacency | None = None
+    gnn: NormalizedAdjacency
+    gnn_neg: NormalizedAdjacency | None = None
 
     @classmethod
-    def build(cls, partitioned, cfg: ModelConfig) -> "AdjacencySet":
-        positive = normalized_adjacency(partitioned, cfg.backbone, "positive")
-        negative = full = None
-        if cfg.variant == "gnn-gn":
-            negative = normalized_adjacency(partitioned, cfg.backbone, "negative")
-        elif cfg.variant == "no-split":
-            full = normalized_adjacency(partitioned, cfg.backbone, "all")
-        return cls(positive, negative, full)
+    def build(cls, g: SignedBipartiteGraph, cfg: ModelConfig) -> "AdjacencySet":
+        """Build only the adjacencies ``cfg.variant`` reads from the signed graph ``g``."""
+        if cfg.variant == "no-split":
+            return cls(normalized_adjacency(g, cfg.backbone))
+        positive, negative = partition(g)
+        return cls(normalized_adjacency(positive, cfg.backbone),
+                   normalized_adjacency(negative, cfg.backbone)
+                   if cfg.variant == "gnn-gn" else None)
 
 
 def forward_tensors(adjs: AdjacencySet, state: ModelState, cfg: ModelConfig,
@@ -179,14 +181,11 @@ def forward_tensors(adjs: AdjacencySet, state: ModelState, cfg: ModelConfig,
     ``rows``: propagation computes only those output rows (see
     ``propagate``), and the MLP, dropout and attention run on them alone.
     """
-    if cfg.variant == "no-split":
-        z = propagate(adjs.full, state, cfg, rows=rows)
-        return z, z, None, None, None
-    z_p = propagate(adjs.positive, state, cfg, rows=rows)
-    if cfg.variant == "no-gn":
+    z_p = propagate(adjs.gnn, state, cfg, rows=rows)
+    if cfg.variant in ("no-gn", "no-split"):
         return z_p, z_p, None, None, None
     if cfg.variant == "gnn-gn":
-        z_n = propagate(adjs.negative, state, cfg, prefix="gnn_neg", rows=rows)
+        z_n = propagate(adjs.gnn_neg, state, cfg, prefix="gnn_neg", rows=rows)
     else:
         z_n = mlp_forward(state, cfg, training, rng, rows)
     alpha_p, alpha_n, z = attention_fuse(z_p, z_n, state, cfg, training, rng)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graph import SignedBipartiteGraph, partition, positive_subgraph
+from .graph import SignedBipartiteGraph, partition
 from .model import AdjacencySet, ModelConfig, ModelState, forward_tensors, init_state
 from .rng import substream
 
@@ -244,9 +244,10 @@ def batch_loss(adjs: AdjacencySet, state: ModelState, cfg: ModelConfig,
                training: bool = False, rng: np.random.Generator | None = None):
     """One training step's loss, as ``sign_aware_bpr_loss`` returns it.
 
-    Propagation runs over the whole graph; the MLP, dropout, attention and
-    the loss run only on the rows the batch touches, since they act on one
-    row at a time.
+    Propagation gives only the rows the batch touches (LightGCN restricts its
+    outermost products to them; the other backbones gather them from the
+    whole graph), and the MLP, dropout, attention and the loss run on those
+    rows alone, since they act on one row at a time.
     """
     rows, local = batch_rows(batch, num_users)
     z, *_ = forward_tensors(adjs, state, cfg, training=training, rng=rng, rows=rows)
@@ -341,9 +342,8 @@ def train(g: SignedBipartiteGraph, cfg: ModelConfig, tcfg: TrainConfig,
           epoch_callback=None) -> TrainResult:
     """Run the optimization loop and return the final state and embeddings."""
     if tcfg.positive_edges_only:
-        g = positive_subgraph(g)
-    parts = partition(g)
-    adjs = AdjacencySet.build(parts, cfg)
+        g = partition(g)[0]
+    adjs = AdjacencySet.build(g, cfg)
     state = init_state(cfg, g.num_users, g.num_items, substream(tcfg.seed, "init"))
     optimizer = Adam(state, tcfg.learning_rate, tcfg.lambda_reg)
     sampler = NegativeSampler(g, tcfg.n_neg)

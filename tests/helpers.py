@@ -42,18 +42,13 @@ def random_records(rng, num_users, num_items, count, ratings=(1, 2, 3, 4, 5)):
 # ---------------------------------------------------------------------------
 # dense propagation oracle
 
-def dense_adjacency(parts, variant, edge_set="positive"):
-    n = parts.num_users + parts.num_items
-    if edge_set == "positive":
-        edges = list(zip(*parts.positive[:2]))
-    elif edge_set == "negative":
-        edges = list(zip(*parts.negative[:2]))
-    else:
-        edges = list(zip(*parts.positive[:2])) + list(zip(*parts.negative[:2]))
+def dense_adjacency(g, variant):
+    """The propagation matrix over every edge of ``g``, one node at a time."""
+    n = g.num_users + g.num_items
     neighbors = [[] for _ in range(n)]
-    for u, v in edges:
-        neighbors[u].append(v + parts.num_users)
-        neighbors[v + parts.num_users].append(u)
+    for u, v in zip(g.users, g.items):
+        neighbors[u].append(v + g.num_users)
+        neighbors[v + g.num_users].append(u)
     A = np.zeros((n, n))
     for x in range(n):
         for y in neighbors[x]:

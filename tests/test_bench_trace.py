@@ -62,11 +62,14 @@ def test_every_trace_target_exists_and_every_metric_is_reported(tracing):
 def test_tensors_per_training_step(tracing, backbone):
     """Propagation, the MLP, the attention and the loss are one tape op each,
     and nothing else is on the tape: a step makes 4 tensors with a negative
-    path and 2 without one."""
-    for variant, count in (("mlp-gn", 4), ("gnn-gn", 4), ("no-gn", 2)):
+    path and 2 without one. A run builds one adjacency per GNN path."""
+    for variant, count, adjacencies in (("mlp-gn", 4, 1), ("gnn-gn", 4, 2), ("no-gn", 2, 1),
+                                        ("no-split", 2, 1)):
         cfg = ModelConfig(backbone=backbone, variant=variant, dim=4, gnn_layers=2, attn_dim=3)
-        metrics, _ = traced_training(tracing, cfg).layer_metrics()
+        tracer = traced_training(tracing, cfg)
+        metrics, _ = tracer.layer_metrics()
         assert metrics["autodiff.tensors_per_step"][0] == count, variant
+        assert sum(s.name == "graph.adjacency" for s in tracer.spans) == adjacencies, variant
 
 
 def test_split_and_evaluate_reach_the_data_layer_trace_targets(tracing, tmp_path):

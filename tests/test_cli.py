@@ -14,7 +14,7 @@ from signrec.cli import (
 from signrec.data import (
     build_descriptor, filter_min_interactions, parse_ratings, read_fold_manifests,
 )
-from signrec.graph import build_signed_graph, partition
+from signrec.graph import build_signed_graph
 from signrec.model import AdjacencySet, ModelConfig, forward_tensors, load_checkpoint
 
 from helpers import planted_dataset
@@ -137,7 +137,7 @@ def test_checkpoints_rebuild_embeddings_and_resume_points(dataset_path, tmp_path
     manifests = os.path.join(out, next(p for p in os.listdir(out) if "folds" in p))
     fold = read_fold_manifests(manifests, config["k_folds"])[config["fold"]]
     g = build_signed_graph(fold.train, descriptor, config["w_o"])
-    z, *_ = forward_tensors(AdjacencySet.build(partition(g), cfg),
+    z, *_ = forward_tensors(AdjacencySet.build(g, cfg),
                             load_checkpoint(os.path.join(ckpt_dir, "final.npz")), cfg)
     assert z.value.tobytes() == np.load(os.path.join(run_path, "embeddings.npy")).tobytes()
 
@@ -197,6 +197,25 @@ def test_bad_manifest_row_names_file_and_line(dataset_path, tmp_path, capsys, ro
     args = ["evaluate"] + base_args(dataset_path, str(out)) + ["--run", str(tmp_path / "run")]
     assert main(args) == EXIT_DATA
     assert f"{manifest}: line 2:" in capsys.readouterr().err
+
+
+def test_manifest_line_of_another_fold_names_file_and_line(dataset_path, tmp_path, capsys):
+    out = tmp_path / "runs"
+    assert main(["split"] + base_args(dataset_path, str(out))) == EXIT_OK
+    manifest = next(p for p in out.iterdir() if "folds" in p.name) / "fold1.tsv"
+    lines = manifest.read_text().splitlines(keepends=True)
+    assert lines[1].startswith("1\t")
+    lines[1] = "7" + lines[1][1:]
+    manifest.write_text("".join(lines))
+    run = tmp_path / "run"  # a run that evaluates but for the manifest
+    (run / "reports").mkdir(parents=True)
+    (run / "config").write_text(json.dumps({"fold": 0}))
+    descriptor = build_descriptor(parse_ratings(dataset_path))
+    np.save(run / "embeddings.npy", np.zeros((descriptor.num_users + descriptor.num_items, 8)))
+    capsys.readouterr()
+    args = ["evaluate"] + base_args(dataset_path, str(out)) + ["--run", str(run)]
+    assert main(args) == EXIT_DATA
+    assert f"{manifest}: line 2: fold column '7'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("rating", ["x", "7"])

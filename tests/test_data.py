@@ -285,6 +285,19 @@ def test_manifest_errors_match_the_record_path(tmp_path, line):
     assert new == _outcome(helpers.reference_read_fold_manifests, tmp_path, 2)
 
 
+def test_manifest_of_another_fold_is_a_parse_error(tmp_path):
+    (tmp_path / "fold0.tsv").write_text("0\tu\tj\t4\t1\n")
+    (tmp_path / "fold1.tsv").write_text("1\tv\ti\t4\t1\n10\tw\ti\t4\t1\n")
+    with pytest.raises(ParseError, match="fold column '10'") as exc:
+        read_fold_manifests(tmp_path, 2)
+    assert exc.value.line_no == 2 and str(tmp_path / "fold1.tsv") in str(exc.value)
+    # a manifest copied into another fold's file
+    (tmp_path / "fold1.tsv").write_text("0\tu\tj\t4\t1\n")
+    with pytest.raises(ParseError, match="fold column '0'") as exc:
+        read_fold_manifests(tmp_path, 2)
+    assert exc.value.line_no == 1
+
+
 def test_repeated_pair_and_missing_id_errors_match_the_record_path():
     records = [RatingRecord("u", "i", 5.0), RatingRecord("v", "j", 4.0),
                RatingRecord("u", "i", 1.0), RatingRecord("w", "i", 5.0)]

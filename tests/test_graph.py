@@ -3,8 +3,7 @@ import pytest
 
 from signrec.data import RatingRecord
 from signrec.graph import (
-    DuplicateEdgeError, build_signed_graph, normalized_adjacency, partition,
-    positive_subgraph,
+    DuplicateEdgeError, SignedBipartiteGraph, build_signed_graph, normalized_adjacency, partition,
 )
 
 from helpers import dense_adjacency, random_records, toy_descriptor
@@ -37,16 +36,20 @@ def test_nonpositive_threshold_rejected():
 def test_partition_routes_by_sign():
     g = _graph([RatingRecord("u0", "i0", 5.0), RatingRecord("u0", "i1", 1.0),
                 RatingRecord("u1", "i0", 4.0)])
-    parts = partition(g)
-    assert sorted(parts.positive[2].tolist()) == [0.5, 1.5]
-    assert parts.negative[2].tolist() == [-2.5]
+    positive, negative = partition(g)
+    assert positive.weights.tolist() == [1.5, 0.5]
+    assert (positive.users.tolist(), positive.items.tolist()) == ([0, 1], [0, 0])
+    assert negative.weights.tolist() == [-2.5]
+    assert (negative.users.tolist(), negative.items.tolist()) == ([0], [1])
+    for h in (positive, negative):
+        assert (h.num_users, h.num_items) == (g.num_users, g.num_items)
 
 
 def test_partition_all_positive_degenerate():
     g = _graph([RatingRecord("u0", "i0", 5.0), RatingRecord("u1", "i1", 4.0)])
-    parts = partition(g)
-    assert len(parts.negative[0]) == 0
-    assert len(parts.positive[0]) == g.num_edges
+    positive, negative = partition(g)
+    assert negative.num_edges == 0
+    assert positive.num_edges == g.num_edges
 
 
 def test_partition_counts_fuzzed():
@@ -57,27 +60,30 @@ def test_partition_counts_fuzzed():
         count = int(rng.integers(1, num_users * num_items + 1))
         records = random_records(rng, num_users, num_items, count)
         g = build_signed_graph(records, toy_descriptor(num_users, num_items), 3.5)
-        parts = partition(g)
-        assert len(parts.positive[0]) + len(parts.negative[0]) == g.num_edges
-        assert (parts.positive[2] > 0).all()
-        assert (parts.negative[2] < 0).all()
-        # multiset of (u, v) pairs is preserved
-        got = sorted(zip(np.concatenate([parts.positive[0], parts.negative[0]]).tolist(),
-                         np.concatenate([parts.positive[1], parts.negative[1]]).tolist()))
-        assert got == sorted(zip(g.users.tolist(), g.items.tolist()))
+        positive, negative = partition(g)
+        assert positive.num_edges + negative.num_edges == g.num_edges
+        assert (positive.weights > 0).all()
+        assert (negative.weights < 0).all()
+        # each graph keeps its edges in g's order
+        for h, sign in ((positive, 1), (negative, -1)):
+            keep = np.sign(g.weights) == sign
+            assert np.array_equal(h.users, g.users[keep])
+            assert np.array_equal(h.items, g.items[keep])
+            assert np.array_equal(h.weights, g.weights[keep])
 
 
 def test_positive_subgraph_keeps_only_positive_edges():
     g = _graph([RatingRecord("u0", "i0", 5.0), RatingRecord("u0", "i1", 1.0)])
-    sub = positive_subgraph(g)
+    sub = partition(g)[0]
     assert sub.num_edges == 1 and (sub.weights > 0).all()
+    assert (sub.num_users, sub.num_items) == (g.num_users, g.num_items)
 
 
 def test_lightgcn_coefficient_arithmetic():
     # user degree 4 connected to an item of degree 1 -> 1/(2*1) = 0.5
     records = [RatingRecord("u0", f"i{v}", 5.0) for v in range(4)]
     g = _graph(records, num_users=1, num_items=4)
-    adj = normalized_adjacency(partition(g), "lightgcn")
+    adj = normalized_adjacency(g, "lightgcn")
     assert adj.matrix[0, 1] == pytest.approx(0.5)  # node 1 = item i0
     assert adj.degrees[0] == 4 and adj.degrees[1] == 1
 
@@ -87,20 +93,20 @@ def test_lrgccf_coefficient_and_self_term():
     # cross entry and the same for the self entry
     records = [RatingRecord(f"u{u}", f"i{v}", 5.0) for u in range(3) for v in range(3)]
     g = _graph(records, num_users=3, num_items=3)
-    adj = normalized_adjacency(partition(g), "lrgccf")
+    adj = normalized_adjacency(g, "lrgccf")
     assert adj.matrix[0, 3] == pytest.approx(0.25)
     assert adj.matrix[0, 0] == pytest.approx(0.25)
 
 
 def test_lrgccf_isolated_node_self_coefficient_is_one():
     g = _graph([RatingRecord("u0", "i0", 5.0)], num_users=2, num_items=1)
-    adj = normalized_adjacency(partition(g), "lrgccf")
+    adj = normalized_adjacency(g, "lrgccf")
     assert adj.matrix[1, 1] == pytest.approx(1.0)  # isolated user u1
 
 
 def test_lightgcn_isolated_node_has_empty_row():
     g = _graph([RatingRecord("u0", "i0", 5.0)], num_users=2, num_items=1)
-    adj = normalized_adjacency(partition(g), "lightgcn")
+    adj = normalized_adjacency(g, "lightgcn")
     assert adj.matrix[1].nnz == 0
 
 
@@ -108,7 +114,7 @@ def test_adjacency_symmetry_lightgcn():
     rng = np.random.default_rng(7)
     records = random_records(rng, 6, 6, 20)
     g = build_signed_graph(records, toy_descriptor(6, 6), 3.5)
-    adj = normalized_adjacency(partition(g), "lightgcn")
+    adj = normalized_adjacency(partition(g)[0], "lightgcn")
     dense = adj.matrix.toarray()
     assert np.array_equal(dense, dense.T)
 
@@ -119,20 +125,40 @@ def test_adjacency_matches_dense_oracle(variant):
     for _ in range(20):
         records = random_records(rng, 8, 8, int(rng.integers(4, 40)))
         g = build_signed_graph(records, toy_descriptor(8, 8), 3.5)
-        parts = partition(g)
-        adj = normalized_adjacency(parts, variant)
-        expected = dense_adjacency(parts, variant)
-        assert np.allclose(adj.matrix.toarray(), expected, rtol=0, atol=1e-14)
+        for h in (g, *partition(g)):
+            adj = normalized_adjacency(h, variant)
+            expected = dense_adjacency(h, variant)
+            assert np.allclose(adj.matrix.toarray(), expected, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("variant", ["lightgcn", "lrgccf", "ngcf"])
+def test_adjacency_does_not_depend_on_edge_order(variant):
+    """The CSR conversion sums and sorts the entries: the whole graph's
+    matrix equals, byte for byte, the one over its positive edges followed
+    by its negative edges, the order the sign partition puts them in."""
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        records = random_records(rng, 9, 7, int(rng.integers(4, 50)))
+        g = build_signed_graph(records, toy_descriptor(9, 7), 3.5)
+        positive, negative = partition(g)
+        joined = SignedBipartiteGraph(g.num_users, g.num_items,
+                                      *(np.concatenate([getattr(positive, f), getattr(negative, f)])
+                                        for f in ("users", "items", "weights")))
+        got, want = normalized_adjacency(g, variant), normalized_adjacency(joined, variant)
+        for field in ("indptr", "indices", "data"):
+            a, b = getattr(got.matrix, field), getattr(want.matrix, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+        assert np.array_equal(got.degrees, want.degrees)
 
 
 def test_degree_table_matches_brute_force():
     rng = np.random.default_rng(3)
     records = random_records(rng, 5, 7, 20)
     g = build_signed_graph(records, toy_descriptor(5, 7), 3.5)
-    parts = partition(g)
-    adj = normalized_adjacency(parts, "lightgcn")
+    positive = partition(g)[0]
+    adj = normalized_adjacency(positive, "lightgcn")
     counts = np.zeros(12, dtype=int)
-    for u, v in zip(parts.positive[0], parts.positive[1]):
+    for u, v in zip(positive.users, positive.items):
         counts[u] += 1
         counts[5 + v] += 1
     assert np.array_equal(adj.degrees, counts)

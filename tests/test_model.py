@@ -21,8 +21,7 @@ from helpers import (
 
 def pair_graph():
     """Single user-item pair, both degree 1."""
-    g = build_signed_graph([RatingRecord("u0", "i0", 5.0)], toy_descriptor(1, 1), 3.5)
-    return partition(g)
+    return build_signed_graph([RatingRecord("u0", "i0", 5.0)], toy_descriptor(1, 1), 3.5)
 
 
 def _state_with(params):
@@ -55,12 +54,12 @@ def test_propagation_matches_dense_oracle(backbone):
     rng = np.random.default_rng(5)
     records = random_records(rng, 6, 7, 25)
     g = build_signed_graph(records, toy_descriptor(6, 7), 3.5)
-    parts = partition(g)
+    positive = partition(g)[0]
     cfg = ModelConfig(backbone=backbone, dim=4, gnn_layers=3, dropout_p=0.0)
-    adj = normalized_adjacency(parts, backbone)
+    adj = normalized_adjacency(positive, backbone)
     state = init_state(cfg, 6, 7, substream(1, "init"))
     got = propagate(adj, state, cfg).value
-    expected = dense_propagate_reference(dense_adjacency(parts, backbone), state.params, cfg)
+    expected = dense_propagate_reference(dense_adjacency(positive, backbone), state.params, cfg)
     assert np.max(np.abs(got - expected)) / max(np.max(np.abs(expected)), 1e-30) < 1e-12
 
 
@@ -76,7 +75,7 @@ def test_lightgcn_propagation_is_linear_in_h0():
     rng = np.random.default_rng(8)
     records = random_records(rng, 5, 5, 12)
     g = build_signed_graph(records, toy_descriptor(5, 5), 3.5)
-    adj = normalized_adjacency(partition(g), "lightgcn")
+    adj = normalized_adjacency(partition(g)[0], "lightgcn")
     cfg = ModelConfig(dim=3, gnn_layers=2, dropout_p=0.0)
     h1, h2 = rng.standard_normal((10, 3)), rng.standard_normal((10, 3))
 
@@ -88,7 +87,7 @@ def test_lightgcn_propagation_is_linear_in_h0():
 
 def test_isolated_node_lightgcn_keeps_scaled_h0():
     g = build_signed_graph([RatingRecord("u0", "i0", 5.0)], toy_descriptor(2, 1), 3.5)
-    adj = normalized_adjacency(partition(g), "lightgcn")
+    adj = normalized_adjacency(g, "lightgcn")
     cfg = ModelConfig(dim=2, gnn_layers=2, dropout_p=0.0)
     h0 = np.arange(6.0).reshape(3, 2)
     out = propagate(adj, _state_with({"gnn.h0": h0}), cfg).value
@@ -101,9 +100,9 @@ def test_fused_propagation_matches_reference_chain(backbone, layers):
     """Output and the gradients of h0 and every w equal the chain's bit for
     bit, over the whole table and its rows."""
     for seed in range(4):
-        parts = mixed_graph(np.random.default_rng(20 + seed))
+        positive = partition(mixed_graph(np.random.default_rng(20 + seed)))[0]
         cfg = ModelConfig(backbone=backbone, dim=4, gnn_layers=layers, dropout_p=0.0)
-        adj = normalized_adjacency(parts, backbone)
+        adj = normalized_adjacency(positive, backbone)
         init = init_state(cfg, 5, 6, substream(seed, "init"))
         init["gnn.h0"].value[0, 1] = -0.0
         gen = np.random.default_rng(seed)
@@ -122,7 +121,7 @@ def test_fused_propagation_matches_reference_chain(backbone, layers):
 @pytest.mark.parametrize("backbone", ["lightgcn", "lrgccf", "ngcf"])
 def test_propagate_is_one_tape_node(backbone):
     cfg = ModelConfig(backbone=backbone, dim=3, gnn_layers=2)
-    adj = normalized_adjacency(mixed_graph(np.random.default_rng(4)), backbone)
+    adj = normalized_adjacency(partition(mixed_graph(np.random.default_rng(4)))[0], backbone)
     state = init_state(cfg, 5, 6, substream(1, "init"))
     z = propagate(adj, state, cfg, rows=np.array([1, 7]))
     weights = {"lightgcn": [], "lrgccf": ["gnn.w0", "gnn.w1"],
@@ -239,8 +238,7 @@ def test_attention_softmax_normalization_fuzzed():
 
 def mixed_graph(rng, num_users=5, num_items=6):
     records = random_records(rng, num_users, num_items, 16)
-    g = build_signed_graph(records, toy_descriptor(num_users, num_items), 3.5)
-    return partition(g)
+    return build_signed_graph(records, toy_descriptor(num_users, num_items), 3.5)
 
 
 @pytest.mark.parametrize("variant", ["mlp-gn", "gnn-gn"])
@@ -249,14 +247,14 @@ def mixed_graph(rng, num_users=5, num_items=6):
 def test_fused_attention_matches_reference_chain(variant, p, training):
     """Output, weights, every gradient and the dropout draws equal the chain's
     bit for bit, on the embeddings the model feeds the attention."""
-    parts = mixed_graph(np.random.default_rng(14))
+    g = mixed_graph(np.random.default_rng(14))
     for backbone in ("lightgcn", "ngcf"):
         cfg = ModelConfig(backbone=backbone, variant=variant, dim=4, gnn_layers=2,
                           attn_dim=5, dropout_p=p)
         init = init_state(cfg, 5, 6, substream(7, "init"))
-        adjs = AdjacencySet.build(parts, cfg)
-        z_p = propagate(adjs.positive, init, cfg).value
-        z_n = (propagate(adjs.negative, init, cfg, prefix="gnn_neg") if variant == "gnn-gn"
+        adjs = AdjacencySet.build(g, cfg)
+        z_p = propagate(adjs.gnn, init, cfg).value
+        z_n = (propagate(adjs.gnn_neg, init, cfg, prefix="gnn_neg") if variant == "gnn-gn"
                else mlp_forward(init, cfg)).value
         # equal paths (alpha exactly 1/2), a signed zero, a saturated tanh
         z_n[0] = z_p[0]
@@ -279,9 +277,9 @@ def test_fused_attention_matches_reference_chain(variant, p, training):
 
 def test_variant_no_gn_output_is_positive_path():
     rng = np.random.default_rng(4)
-    parts = mixed_graph(rng)
+    g = mixed_graph(rng)
     cfg = ModelConfig(variant="no-gn", dim=3, gnn_layers=2, dropout_p=0.0)
-    adjs = AdjacencySet.build(parts, cfg)
+    adjs = AdjacencySet.build(g, cfg)
     state = init_state(cfg, 5, 6, substream(2, "init"))
     z, z_p, z_n, alpha_p, _ = forward_tensors(adjs, state, cfg)
     assert np.array_equal(z.value, z_p.value)
@@ -292,9 +290,8 @@ def test_variant_mlp_gn_ignores_negative_topology():
     # with an empty negative edge set, Z_n is a pure function of the MLP
     records = [RatingRecord(f"u{u}", f"i{u}", 5.0) for u in range(3)]
     g = build_signed_graph(records, toy_descriptor(3, 3), 3.5)
-    parts = partition(g)
     cfg = ModelConfig(variant="mlp-gn", dim=3, gnn_layers=1, dropout_p=0.0)
-    adjs = AdjacencySet.build(parts, cfg)
+    adjs = AdjacencySet.build(g, cfg)
     state = init_state(cfg, 3, 3, substream(3, "init"))
     z_n = forward_tensors(adjs, state, cfg)[2]
     expected = mlp_forward(state, cfg).value
@@ -303,12 +300,12 @@ def test_variant_mlp_gn_ignores_negative_topology():
 
 def test_variant_gnn_gn_differs_only_in_negative_path():
     rng = np.random.default_rng(6)
-    parts = mixed_graph(rng)
+    g = mixed_graph(rng)
     state_seed = 9
     outs = {}
     for variant in ("mlp-gn", "gnn-gn"):
         cfg = ModelConfig(variant=variant, dim=3, gnn_layers=2, dropout_p=0.0)
-        adjs = AdjacencySet.build(parts, cfg)
+        adjs = AdjacencySet.build(g, cfg)
         state = init_state(cfg, 5, 6, substream(state_seed, "init"))
         _, z_p, z_n, _, _ = forward_tensors(adjs, state, cfg)
         outs[variant] = z_p.value, z_n.value
@@ -319,21 +316,23 @@ def test_variant_gnn_gn_differs_only_in_negative_path():
 
 def test_variant_no_split_uses_all_edges():
     rng = np.random.default_rng(10)
-    parts = mixed_graph(rng)
-    cfg = ModelConfig(variant="no-split", dim=3, gnn_layers=2, dropout_p=0.0)
-    adjs = AdjacencySet.build(parts, cfg)
-    state = init_state(cfg, 5, 6, substream(4, "init"))
-    got = forward_tensors(adjs, state, cfg)[0].value
-    expected = dense_propagate_reference(
-        dense_adjacency(parts, "lightgcn", edge_set="all"), state.params, cfg)
-    assert np.allclose(got, expected)
+    g = mixed_graph(rng)
+    for backbone in ("lightgcn", "lrgccf", "ngcf"):
+        cfg = ModelConfig(backbone=backbone, variant="no-split", dim=3, gnn_layers=2,
+                          dropout_p=0.0)
+        adjs = AdjacencySet.build(g, cfg)
+        assert adjs.gnn_neg is None
+        state = init_state(cfg, 5, 6, substream(4, "init"))
+        got = forward_tensors(adjs, state, cfg)[0].value
+        expected = dense_propagate_reference(dense_adjacency(g, backbone), state.params, cfg)
+        assert np.allclose(got, expected), backbone
 
 
 def test_forward_deterministic_without_dropout():
     rng = np.random.default_rng(12)
-    parts = mixed_graph(rng)
+    g = mixed_graph(rng)
     cfg = ModelConfig(variant="mlp-gn", dim=3, gnn_layers=2, dropout_p=0.0)
-    adjs = AdjacencySet.build(parts, cfg)
+    adjs = AdjacencySet.build(g, cfg)
     state = init_state(cfg, 5, 6, substream(5, "init"))
     a = forward_tensors(adjs, state, cfg, training=False)[0]
     b = forward_tensors(adjs, state, cfg, training=False)[0]

@@ -6,9 +6,7 @@ import pytest
 from signrec import train as train_mod
 from signrec.autodiff import Tensor
 from signrec.data import RatingRecord
-from signrec.graph import (
-    SignedBipartiteGraph, build_signed_graph, partition, positive_subgraph,
-)
+from signrec.graph import SignedBipartiteGraph, build_signed_graph, partition
 from signrec.model import AdjacencySet, ModelConfig, ModelState, forward_tensors, init_state
 from signrec.rng import substream
 from signrec.diagnostics import check_gradients
@@ -411,12 +409,12 @@ def test_row_restricted_step_matches_full_graph_step(backbone):
     for variant in ("mlp-gn", "gnn-gn", "no-gn", "no-split"):
         for loss_name in ("sign-aware-bpr", "standard-bpr"):
             for positive_only in (False, True):
-                g = positive_subgraph(base) if positive_only else base
+                g = partition(base)[0] if positive_only else base
                 cfg = ModelConfig(backbone=backbone, variant=variant, dim=4, gnn_layers=2,
                                   attn_dim=3, dropout_p=0.0)
                 tcfg = TrainConfig(c=2.5, lambda_reg=0.05, loss=loss_name,
                                    positive_edges_only=positive_only)
-                adjs = AdjacencySet.build(partition(g), cfg)
+                adjs = AdjacencySet.build(g, cfg)
                 state = init_state(cfg, g.num_users, g.num_items, substream(3, "init"))
                 triples = sample_negatives(g, 1, substream(3, "s"))
                 batch = triples.take(np.arange(0, len(triples), 4))
@@ -551,12 +549,12 @@ def test_training_steps_match_reference_bitwise(backbone, block_bytes, monkeypat
         for loss_name, positive_only, lam in (("sign-aware-bpr", False, 0.05),
                                               ("standard-bpr", True, 0.05),
                                               ("sign-aware-bpr", False, 0.0)):
-            g = positive_subgraph(base) if positive_only else base
+            g = partition(base)[0] if positive_only else base
             cfg = ModelConfig(backbone=backbone, variant=variant, dim=4, gnn_layers=3,
                               attn_dim=3, dropout_p=0.3)
             tcfg = TrainConfig(c=2.5, lambda_reg=lam, loss=loss_name, learning_rate=0.05,
                                positive_edges_only=positive_only)
-            adjs = AdjacencySet.build(partition(g), cfg)
+            adjs = AdjacencySet.build(g, cfg)
             runs = []
             for reference in (False, True):
                 state = init_state(cfg, g.num_users, g.num_items, substream(3, "init"))
