@@ -188,15 +188,13 @@ def concat_propagate(matrix: sp.spmatrix, h0: Tensor, weights: list, backbone: s
 def scatter_rows(idx: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     """An ``(n, d)`` array whose row r is the sum of ``rows[k]`` over ``idx[k] == r``.
 
-    Equal bit for bit to ``np.add.at`` into zeros: a stable sort of ``idx``
-    keeps each row's addends in their original order, and a sparse
-    (n x len(idx)) product adds them up in that order. The sort runs on the
-    narrowest unsigned dtype that holds ``n - 1``, which numpy radix-sorts
-    up to 16 bits.
+    Equal bit for bit to ``np.add.at`` into zeros: column k of a sparse
+    (n x len(idx)) CSC matrix holds a one in row ``idx[k]``, and the product
+    with ``rows`` walks the columns in order, so each row adds its addends in
+    index order.
     """
-    order = np.argsort(idx.astype(np.min_scalar_type(max(n - 1, 0))), kind="stable")
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(idx, minlength=n))))
-    scatter = sp.csr_matrix((np.ones(len(idx)), order, indptr), shape=(n, len(idx)))
+    k = len(idx)
+    scatter = sp.csc_matrix((np.ones(k), idx, np.arange(k + 1)), shape=(n, k))
     return scatter @ rows
 
 

@@ -206,8 +206,6 @@ def _set_threads(n: int) -> None:
 
 
 def _load_dataset(cfg: ExperimentConfig):
-    if not cfg.dataset:
-        raise UsageError("--dataset is required")
     records = data_mod.parse_ratings(cfg.dataset, cfg.format)
     if cfg.min_interactions > 0:
         records = data_mod.filter_min_interactions(records, cfg.min_interactions)
@@ -216,18 +214,21 @@ def _load_dataset(cfg: ExperimentConfig):
 
 
 def _manifest_dir(cfg: ExperimentConfig) -> str:
+    """The manifest directory of ``cfg``'s split, named after its dataset file."""
+    if not cfg.dataset:
+        raise UsageError("--dataset is required")
     stem = os.path.splitext(os.path.basename(cfg.dataset))[0]
     return os.path.join(cfg.out, f"{stem}-folds-k{cfg.k_folds}-seed{cfg.seed}")
 
 
 @contextlib.contextmanager
 def _manifest_ids(directory: str):
-    """Report an id of the manifests that the loaded dataset lacks as a data error."""
+    """Report an id of the manifests that the node index lacks as a data error."""
     try:
         yield
     except KeyError as exc:
-        raise ValueError(f"{directory}: the manifests name {exc.args[0]!r}, which the dataset "
-                         "as loaded does not hold; split it again with the same flags") from None
+        raise ValueError(f"{directory}: the manifests name {exc.args[0]!r}, which its "
+                         f"{data_mod.NODE_INDEX} does not hold; split it again") from None
 
 
 @contextlib.contextmanager
@@ -258,10 +259,11 @@ def _removed_on_failure(*paths: str):
 
 
 def cmd_split(args, cfg: ExperimentConfig) -> int:
-    records, _ = _load_dataset(cfg)
-    folds = data_mod.kfold_split(records, cfg.k_folds, cfg.seed)
     directory = _manifest_dir(cfg)
+    records, descriptor = _load_dataset(cfg)
+    folds = data_mod.kfold_split(records, cfg.k_folds, cfg.seed)
     paths = data_mod.write_fold_manifests(folds, directory, force=args.force)
+    data_mod.write_node_index(directory, descriptor, cfg.min_interactions)
     print(f"wrote {len(paths)} fold manifests to {directory}")
     return EXIT_OK
 
@@ -277,9 +279,9 @@ def run_dir_name(cfg: ExperimentConfig, fold: int) -> str:
 def cmd_train(args, cfg: ExperimentConfig) -> int:
     if not 0 <= args.fold < cfg.k_folds:
         raise UsageError(f"--fold must lie in [0, {cfg.k_folds})")
-    records, descriptor = _load_dataset(cfg)
     directory = _manifest_dir(cfg)
     folds = data_mod.read_fold_manifests(directory, cfg.k_folds)
+    descriptor = data_mod.read_node_index(directory, cfg.min_interactions)
     fold = folds[args.fold]
 
     with _manifest_ids(directory):
@@ -315,9 +317,9 @@ def cmd_train(args, cfg: ExperimentConfig) -> int:
 
 
 def cmd_evaluate(args, cfg: ExperimentConfig) -> int:
-    records, descriptor = _load_dataset(cfg)
     directory = _manifest_dir(cfg)
     folds = data_mod.read_fold_manifests(directory, cfg.k_folds)
+    descriptor = data_mod.read_node_index(directory, cfg.min_interactions)
 
     reports = []
     for run_dir in args.run:

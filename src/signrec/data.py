@@ -1,4 +1,5 @@
-"""Rating file parsing, interaction-count filtering, and k-fold splitting.
+"""Rating file parsing, interaction-count filtering, k-fold splitting, and the
+manifest directory a split writes: fold manifests and a node index.
 
 Ratings travel as columns (:class:`Ratings`) from the parse to evaluation:
 integer codes into the user- and item-id lists, the rating and the
@@ -7,6 +8,7 @@ timestamp. Every function that takes ratings also takes an iterable of
 """
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -139,6 +141,9 @@ class FoldSplit:
 
 
 _SEPARATORS = {"tsv": "\t", "movielens-dat": "::"}
+
+# The node index a split writes beside its fold manifests.
+NODE_INDEX = "nodes.json"
 
 
 def _format_rating(rating: float) -> str:
@@ -311,11 +316,13 @@ def write_fold_manifests(folds, directory, force: bool = False) -> list:
 
     Columns: ``fold  user  item  rating  timestamp``. The train set of fold i
     is the union of every other fold's manifest. Without ``force``, an
-    existing manifest refuses the split before any file is written.
+    existing manifest or node index (:func:`write_node_index`) refuses the
+    split before any file is written.
     """
     os.makedirs(directory, exist_ok=True)
     paths = [os.path.join(directory, f"fold{fold.fold_index}.tsv") for fold in folds]
-    existing = [path for path in paths if os.path.exists(path)]
+    existing = [path for path in paths + [os.path.join(directory, NODE_INDEX)]
+                if os.path.exists(path)]
     if existing and not force:
         raise FileExistsError(f"{existing[0]} exists; pass force to overwrite")
     for fold, path in zip(folds, paths):
@@ -381,3 +388,51 @@ def read_fold_manifests(directory, k: int) -> list:
     manifest = np.repeat(np.arange(k), sizes)
     return [FoldSplit(i, ratings.take(np.flatnonzero(manifest != i)),
                       ratings.take(np.flatnonzero(manifest == i))) for i in range(k)]
+
+
+def write_node_index(directory, descriptor: DatasetDescriptor, min_interactions: int) -> None:
+    """Write ``descriptor`` to ``nodes.json`` in ``directory``.
+
+    The JSON object holds the user ids and the item ids, each in embedding-row
+    order, and the ``min_interactions`` filter that the split applied before
+    indexing them.
+    """
+    path = os.path.join(directory, NODE_INDEX)
+    # json.dumps runs the C encoder; json.dump into a file runs the Python one
+    text = json.dumps({"min_interactions": min_interactions,
+                       "users": sorted(descriptor.user_index, key=descriptor.user_index.get),
+                       "items": sorted(descriptor.item_index, key=descriptor.item_index.get)})
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def read_node_index(directory, min_interactions: int) -> DatasetDescriptor:
+    """The descriptor that :func:`write_node_index` wrote to ``directory``.
+
+    A missing or damaged file, and an index written under another
+    ``min_interactions`` than the one given, raise errors that name it.
+    """
+    path = os.path.join(directory, NODE_INDEX)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            index = json.load(fh)
+    except FileNotFoundError:
+        raise FileNotFoundError(f"{path} is missing; run signrec split --force to write "
+                                "the manifests and their node index") from None
+    except ValueError as exc:  # bad JSON or UTF-8
+        raise ValueError(f"{path}: not a node index ({exc})") from None
+    if not (isinstance(index, dict) and sorted(index) == ["items", "min_interactions", "users"]
+            and type(index["min_interactions"]) is int
+            and all(isinstance(ids, list) and all(type(i) is str for i in ids)
+                    for ids in (index["users"], index["items"]))):
+        raise ValueError(f"{path}: not a node index (an object of min_interactions and "
+                         "lists of user and item id strings)")
+    user_index, item_index = (dict(zip(index[key], range(len(index[key]))))
+                              for key in ("users", "items"))
+    if len(user_index) < len(index["users"]) or len(item_index) < len(index["items"]):
+        raise ValueError(f"{path}: not a node index (an id is repeated)")
+    if index["min_interactions"] != min_interactions:
+        raise ValueError(f"{directory} was split with --min-interactions "
+                         f"{index['min_interactions']}, not --min-interactions "
+                         f"{min_interactions}; pass the split's value or split again")
+    return DatasetDescriptor(len(user_index), len(item_index), user_index, item_index)

@@ -37,7 +37,6 @@ class SignedBipartiteGraph:
 class NormalizedAdjacency:
     variant: str
     matrix: sp.csr_matrix     # (M+N) x (M+N) propagation coefficients
-    degrees: np.ndarray       # neighbor count per node in the source graph
 
 
 def build_signed_graph(records, descriptor, w_o: float) -> SignedBipartiteGraph:
@@ -110,5 +109,5 @@ def normalized_adjacency(g: SignedBipartiteGraph, variant: str) -> NormalizedAdj
     if variant == "lightgcn":
         # the fused propagation's backward uses the matrix as its own transpose
         assert (matrix != matrix.T).nnz == 0, "lightgcn adjacency is not symmetric"
-    return NormalizedAdjacency(variant, matrix, degrees)
+    return NormalizedAdjacency(variant, matrix)
 

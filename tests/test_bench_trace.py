@@ -76,7 +76,8 @@ def test_split_and_evaluate_reach_the_data_layer_trace_targets(tracing, tmp_path
     """`signrec split` then `signrec evaluate` at desk size, as the
     ml1m-evaluate workload runs them: the parse, the manifest read and the
     truth and exclusion sets each report time, and the parse counts every
-    rating line of each of the two commands."""
+    rating line once: `split` parses the ratings, and `evaluate` reads the
+    node index the split wrote in their place."""
     records = latent_factor_dataset(seed=2)
     dataset = tmp_path / "desk.tsv"
     dataset.write_text("".join(f"{r.user_id}\t{r.item_id}\t{int(r.rating)}\t{r.timestamp}\n"
@@ -100,4 +101,4 @@ def test_split_and_evaluate_reach_the_data_layer_trace_targets(tracing, tmp_path
                  "data.manifest_write_s", "data.manifest_read_s", "evaluate.truth_exclude_s",
                  "evaluate.evaluate_s", "cli.split_self_s", "cli.evaluate_self_s"):
         assert metrics[name][0] > 0, name
-    assert tracer.counts["parsed_lines"] == 2 * len(records)
+    assert tracer.counts["parsed_lines"] == len(records)

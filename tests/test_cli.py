@@ -49,8 +49,8 @@ def test_split_writes_manifests_and_is_deterministic(dataset_path, tmp_path):
     assert main(["split"] + base_args(dataset_path, out)) == EXIT_OK
     manifest_dir = next(p for p in os.listdir(out) if "folds" in p)
     files = sorted(os.listdir(os.path.join(out, manifest_dir)))
-    assert files == ["fold0.tsv", "fold1.tsv", "fold2.tsv"]
-    total = sum(len(open(os.path.join(out, manifest_dir, f)).readlines()) for f in files)
+    assert files == ["fold0.tsv", "fold1.tsv", "fold2.tsv", "nodes.json"]
+    total = sum(len(open(os.path.join(out, manifest_dir, f)).readlines()) for f in files[:3])
     assert total == len(open(dataset_path).readlines())
 
     first = {f: open(os.path.join(out, manifest_dir, f)).read() for f in files}
@@ -75,6 +75,130 @@ def test_split_without_force_writes_nothing_if_any_manifest_exists(dataset_path,
     assert "fold1.tsv exists" in capsys.readouterr().err
     assert sorted(p.name for p in manifests.iterdir()) == ["fold1.tsv"]
     assert (manifests / "fold1.tsv").read_text() == "kept\n"
+
+
+def test_split_without_force_writes_nothing_if_the_node_index_exists(dataset_path, tmp_path,
+                                                                      capsys):
+    out = tmp_path / "runs"
+    manifests = out / "toy-folds-k3-seed11"
+    manifests.mkdir(parents=True)
+    (manifests / "nodes.json").write_text("kept\n")
+    assert main(["split"] + base_args(dataset_path, str(out))) == EXIT_DATA
+    assert "nodes.json exists" in capsys.readouterr().err
+    assert sorted(p.name for p in manifests.iterdir()) == ["nodes.json"]
+    assert (manifests / "nodes.json").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("threshold", [0, 2])
+def test_node_index_holds_the_descriptor_of_the_filtered_dataset(tmp_path, threshold):
+    # ids with spaces, non-ASCII characters and digits only, some rated once
+    gen = np.random.default_rng(threshold)
+    users = ["u 1", " lead", "trail ", "ñandú", "日本", "007", "7", "42", "x#y", "Ω"]
+    items = ["i 1", "ü", "3", "03", "€ 5", "0", "item", "#9", "a b c"]
+    pairs = gen.choice(len(users) * len(items), size=45, replace=False)
+    path = tmp_path / "ids.tsv"
+    lines = [f"{users[p // len(items)]}\t{items[p % len(items)]}\t{gen.integers(1, 6)}\t{n}\n"
+             for n, p in enumerate(pairs)]
+    lines += ["99\tü\t4\t0\n", "ñandú\tonce more\t2\t0\n"]
+    path.write_text("".join(lines), encoding="utf-8")
+    out = tmp_path / "runs"
+    assert main(["split", "--dataset", str(path), "--folds", "2", "--out", str(out),
+                 "--min-interactions", str(threshold)]) == EXIT_OK
+    want = build_descriptor(filter_min_interactions(parse_ratings(str(path)), threshold))
+    index = json.loads((out / "ids-folds-k2-seed0" / "nodes.json").read_text(encoding="utf-8"))
+    assert index == {"min_interactions": threshold,
+                     "users": sorted(want.user_index, key=want.user_index.get),
+                     "items": sorted(want.item_index, key=want.item_index.get)}
+    assert ("99" in index["users"] and "once more" in index["items"]) == (threshold == 0)
+    assert len(index["users"]) > 5 and len(index["items"]) > 5
+
+
+def test_train_and_evaluate_do_not_read_the_dataset(dataset_path, tmp_path):
+    outputs = []
+    for side in ("kept", "deleted"):
+        path = tmp_path / side / "toy.tsv"
+        path.parent.mkdir()
+        path.write_bytes(open(dataset_path, "rb").read())
+        out = str(tmp_path / side / "runs")
+        assert main(["split"] + base_args(str(path), out)) == EXIT_OK
+        if side == "deleted":
+            path.unlink()
+        assert main(train_args(str(path), out)) == EXIT_OK
+        run_path = os.path.join(out, next(p for p in os.listdir(out) if "mlp-gn" in p))
+        assert main(["evaluate"] + base_args(str(path), out) + ["--run", run_path]) == EXIT_OK
+        outputs.append([open(os.path.join(run_path, name), "rb").read() for name in
+                        ("embeddings.npy", "logs/epochs.csv", "reports/metrics.csv")])
+    assert outputs[0] == outputs[1]
+
+
+def _index_of(**changes):
+    def damage(path):
+        path.write_text(json.dumps(json.loads(path.read_text()) | changes))
+    return damage
+
+
+def _first_user_twice(path):
+    users = json.loads(path.read_text())["users"]
+    _index_of(users=users + users[:1])(path)
+
+
+@pytest.mark.parametrize("damage, says", [
+    (lambda path: path.unlink(), "is missing; run signrec split --force"),
+    (lambda path: path.write_text('{"users": ['), "not a node index"),
+    (lambda path: path.write_text("[]"), "not a node index"),
+    (_index_of(min_interactions="0"), "not a node index"),
+    (_index_of(items=None), "not a node index"),
+    (_index_of(users=[7]), "not a node index"),
+    (_first_user_twice, "an id is repeated"),
+], ids=["missing", "not-json", "not-an-object", "string-filter", "no-item-list", "integer-id",
+        "repeated-id"])
+def test_bad_node_index_is_data_error_naming_it(dataset_path, tmp_path, capsys, damage, says):
+    out = tmp_path / "runs"
+    assert main(["split"] + base_args(dataset_path, str(out))) == EXIT_OK
+    path = out / "toy-folds-k3-seed11" / "nodes.json"
+    damage(path)
+    for argv in (train_args(dataset_path, str(out)),
+                 ["evaluate"] + base_args(dataset_path, str(out)) + ["--run", str(out / "x")]):
+        capsys.readouterr()
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(path) in err and says in err, err
+    assert not any("mlp-gn" in p.name for p in out.iterdir())
+
+
+@pytest.mark.parametrize("given_by, recorded, given", [
+    ("flag", 0, 1), ("config-file", 0, 3), ("default", 2, 0)])
+def test_filter_other_than_the_splits_is_data_error(dataset_path, tmp_path, capsys,
+                                                    given_by, recorded, given):
+    out = tmp_path / "runs"
+    split_with = ["--min-interactions", str(recorded)] if recorded else []
+    assert main(["split"] + base_args(dataset_path, str(out)) + split_with) == EXIT_OK
+    config = tmp_path / "run.cfg"
+    config.write_text(f"min-interactions = {given}\n")
+    run_with = {"flag": ["--min-interactions", str(given)],
+                "config-file": ["--config", str(config)], "default": []}[given_by]
+    for argv in (train_args(dataset_path, str(out)),
+                 ["evaluate"] + base_args(dataset_path, str(out)) + ["--run", str(out / "x")]):
+        capsys.readouterr()
+        assert main(run_with + argv if given_by == "config-file" else argv + run_with) \
+            == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(out / "toy-folds-k3-seed11") in err
+        assert f"--min-interactions {recorded}, not --min-interactions {given};" in err
+
+
+def test_manifest_id_missing_from_node_index_is_data_error(dataset_path, tmp_path, capsys):
+    out = tmp_path / "runs"
+    assert main(["split"] + base_args(dataset_path, str(out))) == EXIT_OK
+    manifests = out / "toy-folds-k3-seed11"
+    path = manifests / "nodes.json"
+    index = json.loads(path.read_text())
+    dropped = index["users"].pop()
+    path.write_text(json.dumps(index))
+    capsys.readouterr()
+    assert main(train_args(dataset_path, str(out))) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(manifests) in err and repr(dropped) in err and "nodes.json" in err
 
 
 def test_split_k1_is_usage_error(dataset_path, tmp_path):
@@ -506,7 +630,8 @@ def test_manifests_of_another_filtering_are_data_errors(dataset_path, tmp_path, 
     code = main(train_args(str(path), str(out), fold=fold) + ["--min-interactions", "2"])
     err = capsys.readouterr().err
     assert code == EXIT_DATA
-    assert str(manifests) in err and ("'999'" in err or "'998'" in err)
+    assert str(manifests) in err
+    assert "--min-interactions 0" in err and "--min-interactions 2" in err
 
     run = tmp_path / "run"
     run.mkdir()
@@ -515,4 +640,5 @@ def test_manifests_of_another_filtering_are_data_errors(dataset_path, tmp_path, 
     code = main(["evaluate"] + args + ["--min-interactions", "2", "--run", str(run)])
     err = capsys.readouterr().err
     assert code == EXIT_DATA
-    assert str(manifests) in err and ("'999'" in err or "'998'" in err)
+    assert str(manifests) in err
+    assert "--min-interactions 0" in err and "--min-interactions 2" in err

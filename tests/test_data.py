@@ -7,9 +7,9 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from signrec.data import (
-    ParseError, RatingRecord, Ratings, ValidationError, build_descriptor,
+    DatasetDescriptor, ParseError, RatingRecord, Ratings, ValidationError, build_descriptor,
     filter_min_interactions, kfold_split, parse_ratings,
-    read_fold_manifests, write_fold_manifests,
+    read_fold_manifests, read_node_index, write_fold_manifests, write_node_index,
 )
 from signrec.evaluate import ground_truth, train_interactions
 from signrec.graph import DuplicateEdgeError, build_signed_graph
@@ -129,6 +129,17 @@ def test_descriptor_first_appearance_order():
     assert desc.user_index == {"9": 0, "3": 1}
     assert desc.item_index == {"5": 0, "8": 1}
     assert desc.num_users == 2 and desc.num_items == 2
+
+
+def test_node_index_round_trip_is_in_row_order(tmp_path):
+    # the maps' insertion order is not their row order
+    desc = DatasetDescriptor(3, 2, {"b": 2, "a a": 0, "ü": 1}, {"10": 1, "9": 0})
+    write_node_index(tmp_path, desc, 4)
+    assert (tmp_path / "nodes.json").read_text() == \
+        '{"min_interactions": 4, "users": ["a a", "\\u00fc", "b"], "items": ["9", "10"]}'
+    back = read_node_index(tmp_path, 4)
+    assert back == desc
+    assert list(back.user_index.items()) == [("a a", 0), ("ü", 1), ("b", 2)]
 
 
 def test_fold_manifest_round_trip(tmp_path):
