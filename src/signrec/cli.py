@@ -28,9 +28,9 @@ import numpy as np
 from . import data as data_mod
 from . import evaluate as eval_mod
 from .diagnostics import run_all
-from .graph import build_signed_graph
-from .model import ModelConfig, save_checkpoint
-from .train import TrainConfig, TrainingDiverged, train
+from .graph import BACKBONES, build_signed_graph
+from .model import VARIANTS, ModelConfig, save_checkpoint
+from .train import LOSSES, TrainConfig, TrainingDiverged, train
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERICAL = 0, 1, 2, 3
 
@@ -76,8 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--dataset")
-        p.add_argument("--format", choices=["tsv", "movielens-dat"])
-        p.add_argument("--w-o", type=float, dest="w_o")
         p.add_argument("--min-interactions", type=int)
         p.add_argument("--folds", type=int)
         p.add_argument("--seed", type=int)
@@ -86,14 +84,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_split = sub.add_parser("split", help="materialize fold manifests")
     common(p_split)
+    p_split.add_argument("--format", choices=data_mod.FORMATS)
     p_split.add_argument("--force", action="store_true")
 
     p_train = sub.add_parser("train", help="train one fold")
     common(p_train)
     p_train.add_argument("--fold", type=int, default=0)
-    p_train.add_argument("--backbone", choices=["lightgcn", "lrgccf", "ngcf"])
-    p_train.add_argument("--variant", choices=["mlp-gn", "gnn-gn", "no-gn", "no-split"])
-    p_train.add_argument("--loss", choices=["sign-aware-bpr", "standard-bpr"])
+    p_train.add_argument("--w-o", type=float)
+    p_train.add_argument("--backbone", choices=BACKBONES)
+    p_train.add_argument("--variant", choices=VARIANTS)
+    p_train.add_argument("--loss", choices=LOSSES)
     p_train.add_argument("--positive-only", action="store_true", default=None,
                          help="train on positive edges only (baseline mode)")
     p_train.add_argument("--layers", type=int, help="GNN layer count")
@@ -181,6 +181,8 @@ def _merge_config(args) -> ExperimentConfig:
     lo, hi = data_mod.RATING_SCALE
     if not lo < cfg.w_o < hi:
         raise UsageError("--w-o must lie strictly between 1 and 5")
+    if cfg.format not in data_mod.FORMATS:
+        raise UsageError(f"--format must be one of {', '.join(data_mod.FORMATS)}")
     if cfg.min_interactions < 0:
         raise UsageError("--min-interactions must be >= 0")
     if getattr(args, "checkpoint_every", 0) < 0:
@@ -205,20 +207,34 @@ def _set_threads(n: int) -> None:
         threadpoolctl.threadpool_limits(limits=n)
 
 
-def _load_dataset(cfg: ExperimentConfig):
-    records = data_mod.parse_ratings(cfg.dataset, cfg.format)
-    if cfg.min_interactions > 0:
-        records = data_mod.filter_min_interactions(records, cfg.min_interactions)
-    descriptor = data_mod.build_descriptor(records)
-    return records, descriptor
+def _stem(path: str) -> str:
+    return os.path.splitext(os.path.basename(path))[0]
 
 
 def _manifest_dir(cfg: ExperimentConfig) -> str:
     """The manifest directory of ``cfg``'s split, named after its dataset file."""
     if not cfg.dataset:
         raise UsageError("--dataset is required")
-    stem = os.path.splitext(os.path.basename(cfg.dataset))[0]
-    return os.path.join(cfg.out, f"{stem}-folds-k{cfg.k_folds}-seed{cfg.seed}")
+    return os.path.join(cfg.out, f"{_stem(cfg.dataset)}-folds-k{cfg.k_folds}-seed{cfg.seed}")
+
+
+def _check_same_split(run_dir: str, run_cfg: dict, cfg: ExperimentConfig) -> None:
+    """A run whose config records another split than ``cfg``'s is a data error.
+
+    The dataset is compared by its stem, which names the manifest directory.
+    A key the config does not hold is not checked.
+    """
+    for key, name, own in (("dataset", "dataset stem", _stem(cfg.dataset)),
+                           ("k_folds", "--folds", cfg.k_folds), ("seed", "--seed", cfg.seed),
+                           ("min_interactions", "--min-interactions", cfg.min_interactions)):
+        if key not in run_cfg:
+            continue
+        recorded = run_cfg[key]
+        if key == "dataset" and isinstance(recorded, str):
+            recorded = _stem(recorded)
+        if recorded != own:
+            raise ValueError(f"{run_dir} was trained on the split with {name} {recorded!r}, "
+                             f"not {name} {own!r}; evaluate it with its split's settings")
 
 
 @contextlib.contextmanager
@@ -260,16 +276,20 @@ def _removed_on_failure(*paths: str):
 
 def cmd_split(args, cfg: ExperimentConfig) -> int:
     directory = _manifest_dir(cfg)
-    records, descriptor = _load_dataset(cfg)
+    records = data_mod.parse_ratings(cfg.dataset, cfg.format)
+    if cfg.min_interactions > 0:
+        records = data_mod.filter_min_interactions(records, cfg.min_interactions)
+    data_mod.reject_repeated_pairs(records, records.users, records.items)
     folds = data_mod.kfold_split(records, cfg.k_folds, cfg.seed)
     paths = data_mod.write_fold_manifests(folds, directory, force=args.force)
-    data_mod.write_node_index(directory, descriptor, cfg.min_interactions)
+    data_mod.write_node_index(directory, data_mod.build_descriptor(records),
+                              cfg.min_interactions)
     print(f"wrote {len(paths)} fold manifests to {directory}")
     return EXIT_OK
 
 
 def run_dir_name(cfg: ExperimentConfig, fold: int) -> str:
-    stem = os.path.splitext(os.path.basename(cfg.dataset))[0]
+    stem = _stem(cfg.dataset)
     tag = cfg.training.loss if not cfg.training.positive_edges_only else "posonly"
     return os.path.join(
         cfg.out,
@@ -328,7 +348,10 @@ def cmd_evaluate(args, cfg: ExperimentConfig) -> int:
             raise FileNotFoundError(f"{run_dir}: missing config")
         with open(config_path, "r", encoding="utf-8") as fh, _holding(config_path, "a run config"):
             run_cfg = json.load(fh)
-        fold_index = run_cfg.get("fold") if isinstance(run_cfg, dict) else None
+        if not isinstance(run_cfg, dict):
+            raise ValueError(f"{config_path}: not a run config (a JSON object)")
+        _check_same_split(run_dir, run_cfg, cfg)
+        fold_index = run_cfg.get("fold")
         if type(fold_index) is not int or not 0 <= fold_index < len(folds):
             raise ValueError(f"{run_dir}: config fold {fold_index!r} is not an integer "
                              f"in [0, {len(folds)})")

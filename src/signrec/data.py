@@ -35,6 +35,10 @@ class ValidationError(ParseError):
     """A well-formed line whose rating lies off the rating scale."""
 
 
+class DuplicateEdgeError(ValueError):
+    """Two ratings of the same (user, item) pair."""
+
+
 @dataclass(frozen=True)
 class RatingRecord:
     user_id: str
@@ -141,6 +145,7 @@ class FoldSplit:
 
 
 _SEPARATORS = {"tsv": "\t", "movielens-dat": "::"}
+FORMATS = tuple(_SEPARATORS)
 
 # The node index a split writes beside its fold manifests.
 NODE_INDEX = "nodes.json"
@@ -274,6 +279,23 @@ def filter_min_interactions(records, threshold: int) -> Ratings:
             break
         keep = kept
     return ratings.take(np.flatnonzero(keep))
+
+
+def reject_repeated_pairs(ratings: Ratings, users: np.ndarray, items: np.ndarray) -> None:
+    """Raise :class:`DuplicateEdgeError` if two rows hold the same (user, item) pair.
+
+    ``users`` and ``items`` index the ids of the first ``len(users)`` rows of
+    ``ratings``, one index per id. The error names the pair of the first row
+    whose pair an earlier row holds.
+    """
+    keys = users * (int(items.max(initial=-1)) + 1) + items
+    ordered = np.sort(keys)
+    if not (ordered[1:] == ordered[:-1]).any():
+        return
+    order = np.argsort(keys, kind="stable")
+    row = order[1:][keys[order[1:]] == keys[order[:-1]]].min()
+    raise DuplicateEdgeError(f"repeated interaction ({ratings.user_ids[ratings.users[row]]}, "
+                             f"{ratings.item_ids[ratings.items[row]]})")
 
 
 def _first_seen(codes: np.ndarray, ids: list) -> dict:

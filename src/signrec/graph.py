@@ -11,13 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .data import as_ratings
+# build_signed_graph raises DuplicateEdgeError, so it is importable from here too
+from .data import DuplicateEdgeError, as_ratings, reject_repeated_pairs
 
 BACKBONES = ("lightgcn", "lrgccf", "ngcf")
-
-
-class DuplicateEdgeError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -50,13 +47,7 @@ def build_signed_graph(records, descriptor, w_o: float) -> SignedBipartiteGraph:
         raise ValueError("w_o must be positive")
     ratings = as_ratings(records)
     users, items, missing = ratings.dense(descriptor)
-    keys = users * (int(items.max(initial=-1)) + 1) + items
-    order = np.argsort(keys, kind="stable")
-    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
-    if len(repeats):  # the first row whose pair an earlier row holds
-        row = repeats.min()
-        raise DuplicateEdgeError(f"repeated interaction ({ratings.user_ids[ratings.users[row]]}, "
-                                 f"{ratings.item_ids[ratings.items[row]]})")
+    reject_repeated_pairs(ratings, users, items)
     if missing is not None:
         raise missing
     weights = ratings.rating - w_o

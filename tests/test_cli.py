@@ -439,7 +439,7 @@ def test_config_file_threads_reach_thread_limit(dataset_path, tmp_path, monkeypa
 
 
 @pytest.mark.parametrize("line", ["bogus = 1", "k_folds = 3", "positive-only = maybe",
-                                  "dim = eight", "k = 5,x"])
+                                  "dim = eight", "k = 5,x", "format = csv"])
 def test_config_file_unknown_key_or_bad_value_is_usage_error(dataset_path, tmp_path, line):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text(f"dataset = {dataset_path}\nout = {tmp_path / 'runs'}\n{line}\n")
@@ -526,8 +526,9 @@ def _one_dimensional(path):
     ("config", _bad_json, "not a run config"),
     ("embeddings.npy", os.remove, "training did not finish"),
     ("embeddings.npy", _one_dimensional, "a (48,) array"),
+    ("config", lambda path: open(path, "w").write("[]"), "not a run config"),
 ], ids=["empty-embeddings", "truncated-embeddings", "bad-json-config", "missing-embeddings",
-        "1d-embeddings"])
+        "1d-embeddings", "config-not-an-object"])
 def test_evaluate_bad_run_file_is_data_error_naming_it(dataset_path, tmp_path, capsys,
                                                        name, damage, says):
     out = str(tmp_path / "runs")
@@ -642,3 +643,98 @@ def test_manifests_of_another_filtering_are_data_errors(dataset_path, tmp_path, 
     assert code == EXIT_DATA
     assert str(manifests) in err
     assert "--min-interactions 0" in err and "--min-interactions 2" in err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("train", ["--format", "tsv"]), ("evaluate", ["--format", "tsv"]),
+    ("split", ["--w-o", "4"]), ("evaluate", ["--w-o", "4"]),
+], ids=["train-format", "evaluate-format", "split-w-o", "evaluate-w-o"])
+def test_flag_that_the_command_does_not_read_is_usage_error(dataset_path, tmp_path, capsys,
+                                                            command, flag):
+    out = tmp_path / "runs"
+    argv = {"split": ["split"] + base_args(dataset_path, str(out)),
+            "train": train_args(dataset_path, str(out)),
+            "evaluate": ["evaluate"] + base_args(dataset_path, str(out))
+            + ["--run", str(tmp_path / "run")]}[command]
+    assert main(argv + flag) == EXIT_USAGE
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_movielens_dat_split_serves_train_and_evaluate_without_a_format(dataset_path,
+                                                                       tmp_path):
+    dat = tmp_path / "dat" / "toy.dat"
+    dat.parent.mkdir()
+    dat.write_text(open(dataset_path).read().replace("\t", "::"))
+    manifests = "toy-folds-k3-seed11"
+    assert main(["split"] + base_args(dataset_path, str(tmp_path / "tsv"))) == EXIT_OK
+    want = {p.name: p.read_bytes() for p in (tmp_path / "tsv" / manifests).iterdir()}
+
+    assert main(["split"] + base_args(str(dat), str(tmp_path / "flag"))
+                + ["--format", "movielens-dat"]) == EXIT_OK
+    out = tmp_path / "runs"
+    config = tmp_path / "shared.cfg"
+    config.write_text(f"dataset = {dat}\nfolds = 3\nseed = 11\nout = {out}\n"
+                      "format = movielens-dat\nw-o = 3.5\ndim = 8\nlayers = 2\nn-neg = 2\n"
+                      "epochs = 1\nbatch-size = 128\n")
+    assert main(["--config", str(config), "split"]) == EXIT_OK
+    for split_out in (tmp_path / "flag", out):
+        assert {p.name: p.read_bytes() for p in (split_out / manifests).iterdir()} == want
+
+    assert main(["--config", str(config), "train"]) == EXIT_OK
+    run = next(p for p in out.iterdir() if "mlp-gn" in p.name)
+    assert json.loads((run / "config").read_text())["format"] == "movielens-dat"
+    assert main(["--config", str(config), "evaluate", "--run", str(run)]) == EXIT_OK
+    assert (run / "reports" / "metrics.csv").is_file()
+
+
+@pytest.mark.parametrize("flag, value, says", [
+    ("--seed", "12", "--seed 11, not --seed 12"),
+    ("--folds", "4", "--folds 3, not --folds 4"),
+    ("--min-interactions", "1", "--min-interactions 0, not --min-interactions 1"),
+    ("--dataset", "other.tsv", "dataset stem 'toy', not dataset stem 'other'"),
+], ids=["seed", "folds", "min-interactions", "dataset-stem"])
+def test_evaluate_rejects_a_run_of_another_split(dataset_path, tmp_path, capsys,
+                                                 flag, value, says):
+    # the other split exists and has as many nodes, so only the run config tells
+    out = tmp_path / "runs"
+    if flag == "--dataset":
+        value = str(tmp_path / value)
+        with open(value, "wb") as fh:
+            fh.write(open(dataset_path, "rb").read())
+    assert main(["split"] + base_args(dataset_path, str(out))) == EXIT_OK
+    assert main(train_args(dataset_path, str(out), epochs=1)) == EXIT_OK
+    run = next(p for p in out.iterdir() if "mlp-gn" in p.name)
+    other = base_args(dataset_path, str(out)) + [flag, value]
+    assert main(["split"] + other + ["--force"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["evaluate"] + other + ["--run", str(run)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(run) in err and says in err, err
+    assert not (run / "reports" / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("threshold", [0, 2])
+def test_split_rejects_a_repeated_pair_before_writing(dataset_path, tmp_path, capsys,
+                                                      threshold):
+    lines = open(dataset_path).read().splitlines(keepends=True)
+    user, item = lines[3].split("\t")[:2]
+    path = tmp_path / "toy.tsv"
+    path.write_text("".join(lines) + f"{user}\t{item}\t1\t0\n")
+    out = tmp_path / "runs"
+    argv = ["split"] + base_args(str(path), str(out)) + ["--min-interactions", str(threshold)]
+    assert main(argv) == EXIT_DATA
+    assert f"repeated interaction ({user}, {item})" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_split_checks_repeats_after_the_filter(dataset_path, tmp_path):
+    # a user and an item rated only by each other, twice: --min-interactions 3 drops both
+    path = tmp_path / "toy.tsv"
+    path.write_text(open(dataset_path).read() + "999\t998\t5\t0\n999\t998\t1\t0\n")
+    out = tmp_path / "runs"
+    argv = ["split"] + base_args(str(path), str(out))
+    assert main(argv) == EXIT_DATA
+    assert main(argv + ["--min-interactions", "3"]) == EXIT_OK
+    index = json.loads((out / "toy-folds-k3-seed11" / "nodes.json").read_text())
+    assert "999" not in index["users"] and "998" not in index["items"]

@@ -9,7 +9,7 @@ from hypothesis import event, given, settings, strategies as st
 from signrec.data import (
     DatasetDescriptor, ParseError, RatingRecord, Ratings, ValidationError, build_descriptor,
     filter_min_interactions, kfold_split, parse_ratings,
-    read_fold_manifests, read_node_index, write_fold_manifests, write_node_index,
+    read_fold_manifests, reject_repeated_pairs, read_node_index, write_fold_manifests, write_node_index,
 )
 from signrec.evaluate import ground_truth, train_interactions
 from signrec.graph import DuplicateEdgeError, build_signed_graph
@@ -327,6 +327,20 @@ def test_repeated_pair_and_missing_id_errors_match_the_record_path():
         new = _outcome(build_signed_graph, rows, short, 3.5)
         assert new[0] == "raised"
         assert new == _outcome(helpers.reference_build_signed_graph, rows, short, 3.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=30))
+def test_reject_repeated_pairs_names_the_first_repeat(pairs):
+    ratings = Ratings.from_records(RatingRecord(f"u{u}", f"i{i}", 5.0) for u, i in pairs)
+    seen = set()
+    first = next((pair for pair in pairs if pair in seen or seen.add(pair)), None)
+    outcome = _outcome(reject_repeated_pairs, ratings, ratings.users, ratings.items)
+    if first is None:
+        assert outcome is None
+    else:
+        assert outcome == ("raised", DuplicateEdgeError,
+                           f"repeated interaction (u{first[0]}, i{first[1]})", None)
 
 
 def test_timestamp_outside_int64_is_a_parse_error():
