@@ -7,6 +7,8 @@ fusion of the two embedding paths, and the sign-aware pairwise ranking loss.
 A sparse-constant product, ``spmm``, serves the test oracles. The L2 penalty
 has no op: ``signrec.train`` passes its value to the loss op and adds its
 gradient in the optimizer step.
+Every tensor is a parameter or an op's output over parameters, so every op
+gives every input its gradient.
 Values are kept in float64 so analytic gradients can be validated against
 central finite differences.
 """
@@ -16,23 +18,12 @@ import numpy as np
 import scipy.sparse as sp
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce ``grad`` back to ``shape`` after numpy broadcasting."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
 class Tensor:
-    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("value", "grad", "_parents", "_backward")
 
-    def __init__(self, value, requires_grad=False, parents=(), backward=None):
+    def __init__(self, value, parents=(), backward=None):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self._parents = parents
         self._backward = backward
 
@@ -60,7 +51,7 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if parent.requires_grad and id(parent) not in seen:
+                if id(parent) not in seen:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.value)
         for node in reversed(order):
@@ -74,8 +65,7 @@ def spmm(matrix: sp.spmatrix, x: Tensor) -> Tensor:
     out = Tensor(matrix @ x.value, parents=(x,))
 
     def backward(grad):
-        if x.requires_grad:
-            x._accumulate(matrix.T @ grad)
+        x._accumulate(matrix.T @ grad)
 
     out._backward = backward
     return out
@@ -109,8 +99,6 @@ def spmm_power_mean(matrix: sp.spmatrix, x: Tensor, layers: int, rows=None) -> T
     out = Tensor(acc, parents=(x,))
 
     def backward(grad):
-        if not x.requires_grad:
-            return
         acc = band.T @ grad
         # the next product needs the first one before the gradient rows join it
         h = matrix @ acc if layers > 1 else None
@@ -176,10 +164,8 @@ def concat_propagate(matrix: sp.spmatrix, h0: Tensor, weights: list, backbone: s
                 terms = ((w, saved[k].T @ g),)
                 g = own + matrix.T @ (g @ w.value.T)
             for t, g_t in terms:
-                if t.requires_grad:
-                    t._accumulate(g_t)
-        if h0.requires_grad:
-            h0._accumulate(g)
+                t._accumulate(g_t)
+        h0._accumulate(g)
 
     out._backward = backward
     return out
@@ -221,8 +207,6 @@ def bpr_loss(z: Tensor, users: np.ndarray, items: np.ndarray, negatives: np.ndar
     out = Tensor(terms.sum() + penalty, parents=(z,))
 
     def backward(grad):
-        if not z.requires_grad:
-            return
         e = np.exp(-np.abs(x))
         sig = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
         g_margin = grad * sig * -1.0
@@ -265,20 +249,18 @@ def attention_fuse(z_p: Tensor, z_n: Tensor, w: Tensor, q: Tensor, b: Tensor, p:
     out = Tensor(alphas[0] * z_p.value + alphas[1] * z_n.value, parents=(z_p, z_n, w, q, b))
 
     def backward(grad):
-        g_p, g_n = (_unbroadcast(grad * z.value, a.shape) * a * (1.0 - a)
+        g_p, g_n = ((grad * z.value).sum(axis=1, keepdims=True) * a * (1.0 - a)
                     for z, a in zip((z_p, z_n), alphas))
         terms = []
         for z, x, m, h, a, g_s in zip((z_p, z_n), ins, masks, hidden, alphas,
                                       (g_p - g_n, g_n - g_p)):
             g_pre = (g_s @ q.value.T) * (1.0 - h * h)
-            terms.append((x.T @ g_pre, h.T @ g_s, _unbroadcast(g_pre, b_row.shape)))
-            if z.requires_grad:
-                g_x = g_pre @ w_t.T
-                z._accumulate(grad * a + (g_x if m is None else g_x * m))
+            terms.append((x.T @ g_pre, h.T @ g_s, g_pre.sum(axis=0, keepdims=True)))
+            g_x = g_pre @ w_t.T
+            z._accumulate(grad * a + (g_x if m is None else g_x * m))
         g_w, g_q, g_b = (t_p + t_n for t_p, t_n in zip(*terms))
         for t, g in ((w, g_w.T), (q, g_q), (b, g_b.T)):
-            if t.requires_grad:
-                t._accumulate(g)
+            t._accumulate(g)
 
     out._backward = backward
     return alphas[0], alphas[1], out
@@ -301,14 +283,12 @@ def mlp(x: Tensor, rows, layers: list, p: float, rng, training: bool) -> Tensor:
         for (w, b), (h_in, act, mask) in zip(reversed(layers), reversed(saved)):
             # the chain's steps in its order (relu(pre) > 0 is pre > 0), one term per tensor
             grad = (grad if mask is None else grad * mask) * (act > 0)
-            for t, g in ((w, h_in.T @ grad), (b, _unbroadcast(grad, b.shape))):
-                if t.requires_grad:
-                    t._accumulate(g)
+            w._accumulate(h_in.T @ grad)
+            b._accumulate(grad.sum(axis=0, keepdims=True))
             grad = grad @ w.value.T
-        if x.requires_grad:
-            full = np.zeros_like(x.value)
-            full[idx] = grad
-            x._accumulate(full)
+        full = np.zeros_like(x.value)
+        full[idx] = grad
+        x._accumulate(full)
 
     out._backward = backward
     return out

@@ -114,9 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--groups", action="store_true",
                         help="report per interaction-sparsity group")
 
-    p_diag = sub.add_parser("diagnose", help="run built-in numerical self checks")
-    p_diag.add_argument("--inject-gradient-bug", type=float, default=0.0,
-                        help=argparse.SUPPRESS)
+    sub.add_parser("diagnose", help="run built-in numerical self checks")
     return parser
 
 
@@ -385,8 +383,8 @@ def cmd_evaluate(args, cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def cmd_diagnose(args) -> int:
-    results = run_all(perturb_gradients=args.inject_gradient_bug)
+def cmd_diagnose() -> int:
+    results = run_all()
     failed = False
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -404,7 +402,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         if args.command == "diagnose":
-            return cmd_diagnose(args)
+            return cmd_diagnose()
         cfg = _merge_config(args)
         if cfg.threads < 1:
             raise UsageError("--threads must be >= 1")

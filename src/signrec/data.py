@@ -205,12 +205,6 @@ def _raise_first_bad_line(lines: list, sep: str, path) -> None:
             raise ValidationError(f"rating {rating} outside scale [{lo}, {hi}]", line_no, path)
 
 
-def _fields(lines: list, rows: np.ndarray, sep: str, width: int) -> list:
-    """Columns of the ``rows`` lines, each of which has ``width`` fields."""
-    flat = "\n".join(map(lines.__getitem__, rows.tolist())).replace(sep, "\n").split("\n")
-    return [flat[f::width] for f in range(width)]
-
-
 def parse_ratings(source, format: str = "tsv") -> Ratings:
     """Parse a rating file into columns, one row per rating line.
 
@@ -234,27 +228,20 @@ def parse_ratings(source, format: str = "tsv") -> Ratings:
     try:
         if not np.isin(widths, (3, 4)).all():
             raise ValueError("field count")
-        users, items, rating, timestamp = [], [], [np.zeros(0)], [np.zeros(0, np.int64)]
-        groups = [kept[widths == width] for width in (3, 4)]
-        for width, rows in zip((3, 4), groups):
-            if not len(rows):
-                continue
-            columns = _fields(lines, rows, sep, width)
-            users += columns[0]
-            items += columns[1]
-            rating.append(np.fromiter(map(float, columns[2]), np.float64, len(rows)))
-            timestamp.append(np.fromiter(map(int, columns[3]), np.int64, len(rows))
-                             if width == 4 else np.zeros(len(rows), np.int64))
-        rating, timestamp = np.concatenate(rating), np.concatenate(timestamp)
+        width = int(widths.max(initial=3))
+        rows = map(lines.__getitem__, kept.tolist())
+        if (widths < width).any():  # one split at 4 fields: a missing timestamp is 0
+            rows = (line + sep + "0" if w == 3 else line for line, w in zip(rows, widths.tolist()))
+        flat = "\n".join(rows).replace(sep, "\n").split("\n") if len(kept) else []
+        users, items, rating, *timestamp = (flat[f::width] for f in range(width))
+        rating = np.fromiter(map(float, rating), np.float64, len(kept))
+        timestamp = (np.fromiter(map(int, timestamp[0]), np.int64, len(kept)) if timestamp
+                     else np.zeros(len(kept), np.int64))
         if not ((rating >= lo) & (rating <= hi)).all():
             raise ValueError("rating scale")
     except (ValueError, OverflowError):
         _raise_first_bad_line(lines, sep, path)
         raise
-    if len(groups[0]) and len(groups[1]):   # back to line order
-        order = np.argsort(np.concatenate(groups), kind="stable")
-        users, items = ([column[i] for i in order.tolist()] for column in (users, items))
-        rating, timestamp = rating[order], timestamp[order]
     user_ids, item_ids = {}, {}
     users, items = _encode(users, user_ids), _encode(items, item_ids)
     return Ratings(list(user_ids), list(item_ids), users, items, rating, timestamp)

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DatasetDescriptor, RatingRecord, build_descriptor
-from .graph import build_signed_graph, partition
+from .graph import SignedBipartiteGraph, partition
 from .model import AdjacencySet, ModelConfig, init_state
 from .rng import substream
 from .train import TrainConfig, batch_loss, penalized_gradient, sample_negatives
@@ -25,36 +24,33 @@ class CheckResult:
     detail: str
 
 
+def _signed_graph(num_users: int, num_items: int, users, items, ratings) -> SignedBipartiteGraph:
+    """``build_signed_graph``'s graph of the equivalent records at ``w_o`` 3.5: no
+    integer rating equals 3.5, so every rating is an edge, in the ratings' order."""
+    return SignedBipartiteGraph(num_users, num_items, np.array(users, np.int64),
+                                np.array(items, np.int64), np.array(ratings, np.float64) - 3.5)
+
+
 def tiny_instance(num_users: int = 5, num_items: int = 6, seed: int = 7):
     """Small random signed graph with a mix of high and low ratings."""
     rng = substream(seed, "tiny-instance")
-    records = []
-    seen = set()
+    ratings = {}
     for _ in range(num_users * num_items // 2):
-        u = int(rng.integers(num_users))
-        v = int(rng.integers(num_items))
-        if (u, v) in seen:
-            continue
-        seen.add((u, v))
-        rating = float(rng.choice([1, 2, 4, 5]))
-        records.append(RatingRecord(f"u{u}", f"i{v}", rating))
-    descriptor = DatasetDescriptor(num_users, num_items,
-                                   {f"u{u}": u for u in range(num_users)},
-                                   {f"i{v}": v for v in range(num_items)})
-    return build_signed_graph(records, descriptor, w_o=3.5)
+        pair = int(rng.integers(num_users)), int(rng.integers(num_items))
+        if pair not in ratings:
+            ratings[pair] = float(rng.choice([1, 2, 4, 5]))
+    users, items = zip(*ratings)
+    return _signed_graph(num_users, num_items, users, items, list(ratings.values()))
 
 
 def gradient_max_relative_error(cfg: ModelConfig, seed: int = 7, h: float = 1e-4,
-                                c: float = 2.0, lambda_reg: float = 0.05,
-                                perturb_gradients: float = 0.0) -> float:
+                                c: float = 2.0, lambda_reg: float = 0.05) -> float:
     """Max relative error of analytic vs central-difference gradients.
 
     Differentiates the loss of one training step as ``train`` computes it
     (``batch_loss``, restricted to the batch's rows), without dropout. The
     analytic gradient is the tape's plus the L2 penalty's, added by
     ``penalized_gradient`` as the optimizer adds it.
-    ``perturb_gradients`` injects a deliberate analytic-gradient bug for
-    exercising the failure path.
     """
     g = tiny_instance(seed=seed)
     adjs = AdjacencySet.build(g, cfg)
@@ -73,7 +69,7 @@ def gradient_max_relative_error(cfg: ModelConfig, seed: int = 7, h: float = 1e-4
     worst = 0.0
     for name in state.names():
         param = state[name]
-        analytic = penalized_gradient(param.grad, param.value, lambda_reg) + perturb_gradients
+        analytic = penalized_gradient(param.grad, param.value, lambda_reg)
         flat = param.value.reshape(-1)
         numeric = np.zeros_like(flat)
         for k in range(flat.size):
@@ -91,10 +87,10 @@ def gradient_max_relative_error(cfg: ModelConfig, seed: int = 7, h: float = 1e-4
     return worst
 
 
-def check_gradients(tolerance: float = 1e-4, perturb_gradients: float = 0.0) -> CheckResult:
+def check_gradients(tolerance: float = 1e-4) -> CheckResult:
     cfg = ModelConfig(backbone="lightgcn", variant="mlp-gn", dim=4,
                       gnn_layers=2, attn_dim=4, dropout_p=0.0)
-    worst = gradient_max_relative_error(cfg, perturb_gradients=perturb_gradients)
+    worst = gradient_max_relative_error(cfg)
     return CheckResult("gradient-check", worst < tolerance,
                        f"max relative error {worst:.3e} (tolerance {tolerance:g})")
 
@@ -102,17 +98,11 @@ def check_gradients(tolerance: float = 1e-4, perturb_gradients: float = 0.0) -> 
 def sampler_tv_distance(draws: int = 100_000, seed: int = 11) -> float:
     """Total-variation distance of empirical vs exact restricted frequencies.
 
-    Toy graph: one probe user with two edges; two candidate items with
-    degrees 1 and 16, giving exact restricted odds 1 : 8.
+    Toy graph: probe user 0 with two edges, to items 0 and 1; two candidate
+    items, 2 and 3, with degrees 1 and 16, giving exact restricted odds 1 : 8.
     """
-    records = [RatingRecord("probe", "a", 5.0), RatingRecord("probe", "b", 1.0),
-               RatingRecord("x0", "lo", 5.0)]
-    for k in range(16):
-        records.append(RatingRecord(f"y{k}", "hi", 5.0))
-    descriptor = build_descriptor(records)
-    g = build_signed_graph(records, descriptor, w_o=3.5)
-
-    probe = descriptor.user_index["probe"]
+    g = _signed_graph(18, 4, [0, 0, *range(1, 18)], [0, 1, 2] + [3] * 16, [5, 1] + [5] * 17)
+    probe = 0
     degrees = np.bincount(g.items, minlength=g.num_items).astype(float)
     weights = degrees ** 0.75
     neighbor_items = set(g.items[g.users == probe].tolist())
@@ -142,13 +132,8 @@ def check_partition(cases: int = 200, seed: int = 13) -> CheckResult:
         num_items = int(rng.integers(2, 10))
         count = int(rng.integers(1, num_users * num_items + 1))
         pairs = rng.choice(num_users * num_items, size=count, replace=False)
-        records = [RatingRecord(f"u{p // num_items}", f"i{p % num_items}",
-                                float(rng.choice([1, 2, 3, 4, 5])))
-                   for p in pairs]
-        descriptor = DatasetDescriptor(num_users, num_items,
-                                       {f"u{u}": u for u in range(num_users)},
-                                       {f"i{v}": v for v in range(num_items)})
-        g = build_signed_graph(records, descriptor, w_o=3.5)
+        ratings = [float(rng.choice([1, 2, 3, 4, 5])) for _ in pairs]
+        g = _signed_graph(num_users, num_items, pairs // num_items, pairs % num_items, ratings)
         positive, negative = partition(g)
         ok = (positive.num_edges + negative.num_edges == g.num_edges
               and (positive.weights > 0).all() and (negative.weights < 0).all()
@@ -160,7 +145,5 @@ def check_partition(cases: int = 200, seed: int = 13) -> CheckResult:
                        f"{failures} failures over {cases} fuzzed graphs")
 
 
-def run_all(perturb_gradients: float = 0.0) -> list:
-    return [check_gradients(perturb_gradients=perturb_gradients),
-            check_sampler(),
-            check_partition()]
+def run_all() -> list:
+    return [check_gradients(), check_sampler(), check_partition()]

@@ -83,29 +83,28 @@ def init_state(cfg: ModelConfig, num_users: int, num_items: int,
     params = {}
 
     def add_gnn(prefix: str):
-        params[f"{prefix}.h0"] = Tensor(_xavier(rng, (n_nodes, d)), requires_grad=True)
+        params[f"{prefix}.h0"] = Tensor(_xavier(rng, (n_nodes, d)))
         if cfg.backbone == "lrgccf":
             for layer in range(cfg.gnn_layers):
-                params[f"{prefix}.w{layer}"] = Tensor(_xavier(rng, (d, d)), requires_grad=True)
+                params[f"{prefix}.w{layer}"] = Tensor(_xavier(rng, (d, d)))
         elif cfg.backbone == "ngcf":
             for layer in range(cfg.gnn_layers):
-                params[f"{prefix}.w1.{layer}"] = Tensor(_xavier(rng, (d, d)), requires_grad=True)
-                params[f"{prefix}.w2.{layer}"] = Tensor(_xavier(rng, (d, d)), requires_grad=True)
+                params[f"{prefix}.w1.{layer}"] = Tensor(_xavier(rng, (d, d)))
+                params[f"{prefix}.w2.{layer}"] = Tensor(_xavier(rng, (d, d)))
 
     add_gnn("gnn")
     if cfg.variant == "gnn-gn":
         add_gnn("gnn_neg")
     elif cfg.variant == "mlp-gn":
         widths = [d] * cfg.mlp_layers + [d_out]
-        params["mlp.z0"] = Tensor(_xavier(rng, (n_nodes, widths[0])), requires_grad=True)
+        params["mlp.z0"] = Tensor(_xavier(rng, (n_nodes, widths[0])))
         for layer in range(cfg.mlp_layers):
-            params[f"mlp.w{layer}"] = Tensor(_xavier(rng, (widths[layer], widths[layer + 1])),
-                                             requires_grad=True)
-            params[f"mlp.b{layer}"] = Tensor(np.zeros((1, widths[layer + 1])), requires_grad=True)
+            params[f"mlp.w{layer}"] = Tensor(_xavier(rng, (widths[layer], widths[layer + 1])))
+            params[f"mlp.b{layer}"] = Tensor(np.zeros((1, widths[layer + 1])))
     if cfg.variant in ("mlp-gn", "gnn-gn"):
-        params["attn.w"] = Tensor(_xavier(rng, (cfg.attn_dim, d_out)), requires_grad=True)
-        params["attn.q"] = Tensor(_xavier(rng, (cfg.attn_dim, 1)), requires_grad=True)
-        params["attn.b"] = Tensor(np.zeros((cfg.attn_dim, 1)), requires_grad=True)
+        params["attn.w"] = Tensor(_xavier(rng, (cfg.attn_dim, d_out)))
+        params["attn.q"] = Tensor(_xavier(rng, (cfg.attn_dim, 1)))
+        params["attn.b"] = Tensor(np.zeros((cfg.attn_dim, 1)))
     return ModelState(params)
 
 
@@ -209,7 +208,6 @@ def load_checkpoint(path: str) -> ModelState:
         if not isinstance(archive, np.lib.npyio.NpzFile):
             raise ValueError("one array, not an archive")
         with archive:
-            return ModelState({name: Tensor(archive[name], requires_grad=True)
-                               for name in archive.files})
+            return ModelState({name: Tensor(archive[name]) for name in archive.files})
     except (EOFError, ValueError, zipfile.BadZipFile) as exc:
         raise ValueError(f"{path}: not a checkpoint archive ({exc})") from None

@@ -84,9 +84,19 @@ def dense_propagate_reference(A, state, cfg, prefix="gnn"):
 # ---------------------------------------------------------------------------
 # generic tape nodes and the LR-GCCF / NGCF propagation chain
 
+def _unbroadcast(grad, shape):
+    """Reduce ``grad`` back to ``shape`` after numpy broadcasting."""
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    for axis, size in enumerate(shape):
+        if size == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
+    return grad
+
+
 def _constant(value):
-    """A tensor that takes no gradient."""
-    return Tensor(value, requires_grad=False)
+    """A tensor that no parameter depends on: it takes a gradient that nothing reads."""
+    return Tensor(value)
 
 
 def _as_tensor(x):
@@ -100,10 +110,8 @@ def _add(a, b):
     out = Tensor(a.value + b.value, parents=(a, b))
 
     def backward(grad):
-        if a.requires_grad:
-            a._accumulate(ad._unbroadcast(grad, a.shape))
-        if b.requires_grad:
-            b._accumulate(ad._unbroadcast(grad, b.shape))
+        a._accumulate(_unbroadcast(grad, a.shape))
+        b._accumulate(_unbroadcast(grad, b.shape))
 
     out._backward = backward
     return out
@@ -114,11 +122,10 @@ def _reduce_sum(a, axis=None):
     out = Tensor(a.value.sum(axis=axis), parents=(a,))
 
     def backward(grad):
-        if a.requires_grad:
-            if axis is None:
-                a._accumulate(np.broadcast_to(grad, a.shape).copy())
-            else:
-                a._accumulate(np.broadcast_to(np.expand_dims(grad, axis), a.shape).copy())
+        if axis is None:
+            a._accumulate(np.broadcast_to(grad, a.shape).copy())
+        else:
+            a._accumulate(np.broadcast_to(np.expand_dims(grad, axis), a.shape).copy())
 
     out._backward = backward
     return out
@@ -130,10 +137,8 @@ def _mul(a, b):
     out = Tensor(a.value * b.value, parents=(a, b))
 
     def backward(grad):
-        if a.requires_grad:
-            a._accumulate(ad._unbroadcast(grad * b.value, a.shape))
-        if b.requires_grad:
-            b._accumulate(ad._unbroadcast(grad * a.value, b.shape))
+        a._accumulate(_unbroadcast(grad * b.value, a.shape))
+        b._accumulate(_unbroadcast(grad * a.value, b.shape))
 
     out._backward = backward
     return out
@@ -145,10 +150,8 @@ def _matmul(a, b):
     out = Tensor(a.value @ b.value, parents=(a, b))
 
     def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad @ b.value.T)
-        if b.requires_grad:
-            b._accumulate(a.value.T @ grad)
+        a._accumulate(grad @ b.value.T)
+        b._accumulate(a.value.T @ grad)
 
     out._backward = backward
     return out
@@ -159,8 +162,7 @@ def _leaky_relu(a, alpha):
     out = Tensor(np.where(a.value > 0, a.value, alpha * a.value), parents=(a,))
 
     def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad * np.where(a.value > 0, 1.0, alpha))
+        a._accumulate(grad * np.where(a.value > 0, 1.0, alpha))
 
     out._backward = backward
     return out
@@ -173,10 +175,9 @@ def _gather_rows(a, idx):
     out = Tensor(a.value[idx], parents=(a,))
 
     def backward(grad):
-        if a.requires_grad:
-            full = np.zeros_like(a.value)
-            full[idx] = grad
-            a._accumulate(full)
+        full = np.zeros_like(a.value)
+        full[idx] = grad
+        a._accumulate(full)
 
     out._backward = backward
     return out
@@ -189,8 +190,7 @@ def _concat(tensors, axis=1):
 
     def backward(grad):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                t._accumulate(np.take(grad, range(lo, hi), axis=axis))
+            t._accumulate(np.take(grad, range(lo, hi), axis=axis))
 
     out._backward = backward
     return out
@@ -292,10 +292,8 @@ def _sub(a, b):
     out = Tensor(a.value - b.value, parents=(a, b))
 
     def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad)
-        if b.requires_grad:
-            b._accumulate(-grad)
+        a._accumulate(grad)
+        b._accumulate(-grad)
 
     out._backward = backward
     return out
@@ -440,8 +438,7 @@ def reference_l2_penalty(tensors, lam):
     def backward(grad):
         scale = 2.0 * lam * float(grad)
         for t in tensors:
-            if t.requires_grad:
-                t._accumulate(scale * t.value)
+            t._accumulate(scale * t.value)
 
     out._backward = backward
     return out

@@ -97,7 +97,7 @@ def test_criterion_03_propagation_matches_dense_reference():
 
 def test_criterion_04_loss_spot_values():
     def term(r_ui, r_uj, sign, c=2.0):
-        z = Tensor(np.array([[1.0], [r_ui], [r_uj]]), requires_grad=True)
+        z = Tensor(np.array([[1.0], [r_ui], [r_uj]]))
         triples = TrainingTriples(np.array([0]), np.array([0]), np.array([1]),
                                   np.array([sign]))
         _, terms = sign_aware_bpr_loss(z, 1, triples, c, 0.0, ModelState({}),

@@ -42,7 +42,7 @@ def check_op(build, params, tol=1e-7):
 
 
 def _param(rng, *shape):
-    return Tensor(rng.standard_normal(shape), requires_grad=True)
+    return Tensor(rng.standard_normal(shape))
 
 
 rng = np.random.default_rng(0)
@@ -71,13 +71,13 @@ def test_spmm():
                                 lambda t: _leaky_relu(t, 0.1)])
 def test_unary_ops(op):
     # offset away from the ReLU kink so finite differences are clean
-    x = Tensor(rng.standard_normal((4, 3)) + 0.2, requires_grad=True)
+    x = Tensor(rng.standard_normal((4, 3)) + 0.2)
     check_op(lambda: _reduce_sum(op(x)), [x])
 
 
 def test_bpr_terms_finite_at_large_margins():
     # rows 0-1 users, 2-3 items; margins coef * r_ui - r_uj of -1e3 and +1e3
-    z = Tensor(np.array([[1.0], [1.0], [0.0], [1e3]]), requires_grad=True)
+    z = Tensor(np.array([[1.0], [1.0], [0.0], [1e3]]))
     loss, terms = ad.bpr_loss(z, np.array([0, 1]), np.array([2, 3]), np.array([3, 2]),
                               np.ones(2), 0.0)
     assert np.isfinite(terms).all()
@@ -103,7 +103,7 @@ def test_bpr_loss_matches_finite_differences(penalty):
     central difference of that total, over scales where softplus saturates."""
     local = np.random.default_rng(31)
     for scale in (0.1, 1.0, 4.0):
-        x = Tensor(scale * local.standard_normal((9, 2)), requires_grad=True)
+        x = Tensor(scale * local.standard_normal((9, 2)))
         users = local.integers(0, 3, 12)
         items, negatives = 3 + local.integers(0, 6, 12), 3 + local.integers(0, 6, 12)
         coef = local.choice([1.0, 2.5], 12)
@@ -130,9 +130,9 @@ def test_mlp_matches_finite_differences(rows):
     # three layers, dropout on after the first two, with the same masks in
     # every evaluation; biases offset away from the ReLU kink
     x = _param(rng, 5, 3)
-    layers = [(_param(rng, 3, 4), Tensor(rng.standard_normal((1, 4)) + 0.5, requires_grad=True)),
-              (_param(rng, 4, 4), Tensor(rng.standard_normal((1, 4)) + 0.5, requires_grad=True)),
-              (_param(rng, 4, 2), Tensor(rng.standard_normal((1, 2)) + 0.5, requires_grad=True))]
+    layers = [(_param(rng, 3, 4), Tensor(rng.standard_normal((1, 4)) + 0.5)),
+              (_param(rng, 4, 4), Tensor(rng.standard_normal((1, 4)) + 0.5)),
+              (_param(rng, 4, 2), Tensor(rng.standard_normal((1, 2)) + 0.5))]
     weights = rng.standard_normal((5 if rows is None else len(rows), 2))
 
     def build():
@@ -196,7 +196,7 @@ def test_spmm_power_mean_rows_match_full_then_gather(layers):
         weights = local.standard_normal((n if rows is None else len(rows), 5))
         outs = []
         for op in (ad.spmm_power_mean, reference_spmm_power_mean):
-            x = Tensor(value.copy(), requires_grad=True)
+            x = Tensor(value.copy())
             out = op(sym, x, layers, rows)
             _reduce_sum(_mul(out, _constant(weights))).backward()
             outs.append((out.value.tobytes(), x.grad.tobytes()))
@@ -245,8 +245,8 @@ def test_scatter_rows_matches_add_at(n):
 def test_shared_gradient_array_is_not_aliased():
     # _add() hands one gradient array to both parents; a later accumulation
     # into one parent must not leak into the other
-    a = Tensor(np.ones(3), requires_grad=True)
-    b = Tensor(np.ones(3), requires_grad=True)
+    a = Tensor(np.ones(3))
+    b = Tensor(np.ones(3))
     s = _add(a, b)
     total = _reduce_sum(_add(_mul(s, 2.0), _mul(a, 5.0)))
     total.backward()
@@ -255,7 +255,7 @@ def test_shared_gradient_array_is_not_aliased():
 
 
 def test_diamond_graph_accumulates_once():
-    x = Tensor(np.array(2.0), requires_grad=True)
+    x = Tensor(np.array(2.0))
     y = _mul(x, x)               # x^2
     z = _add(y, _mul(y, 3.0))  # 4 x^2 -> dz/dx = 8x = 16
     z.backward()
@@ -263,7 +263,7 @@ def test_diamond_graph_accumulates_once():
 
 
 def test_backward_requires_scalar():
-    x = Tensor(np.ones((2, 2)), requires_grad=True)
+    x = Tensor(np.ones((2, 2)))
     with pytest.raises(ValueError):
         _mul(x, 2.0).backward()
 

@@ -12,10 +12,11 @@ from signrec.cli import (
     run_dir_name,
 )
 from signrec.data import (
-    build_descriptor, filter_min_interactions, parse_ratings, read_fold_manifests,
+    Ratings, build_descriptor, filter_min_interactions, parse_ratings, read_fold_manifests,
 )
 from signrec.graph import build_signed_graph
 from signrec.model import AdjacencySet, ModelConfig, forward_tensors, load_checkpoint
+from signrec.train import penalized_gradient
 
 from helpers import planted_dataset
 
@@ -559,9 +560,29 @@ def test_diagnose_passes_on_fresh_checkout(capsys):
     assert "max relative error" in out
 
 
-def test_diagnose_detects_injected_gradient_bug(capsys):
-    assert main(["diagnose", "--inject-gradient-bug", "0.5"]) == EXIT_NUMERICAL
+def test_diagnose_detects_injected_gradient_bug(capsys, monkeypatch):
+    def dropped(grad, value, lambda_reg, out=None):
+        return grad if grad is not None else np.zeros_like(value)
+
+    # swap the function's code, so every caller sees the mutation
+    monkeypatch.setattr(penalized_gradient, "__code__", dropped.__code__)
+    assert main(["diagnose"]) == EXIT_NUMERICAL
     assert "[FAIL] gradient-check" in capsys.readouterr().out
+
+
+def test_no_command_reaches_the_record_path(dataset_path, tmp_path, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a command went through RatingRecords")
+
+    monkeypatch.setattr(Ratings, "from_records", unreachable)
+    monkeypatch.setattr(Ratings, "__iter__", unreachable)
+    out = str(tmp_path / "runs")
+    assert main(["split"] + base_args(dataset_path, out)) == EXIT_OK
+    assert main(train_args(dataset_path, out)) == EXIT_OK
+    run_path = os.path.join(out, next(p for p in os.listdir(out) if "mlp-gn" in p))
+    argv = ["evaluate"] + base_args(dataset_path, out) + ["--run", run_path, "--groups"]
+    assert main(argv) == EXIT_OK
+    assert main(["diagnose"]) == EXIT_OK
 
 
 def test_training_with_no_triples_is_data_error(tmp_path, capsys):
@@ -648,14 +669,17 @@ def test_manifests_of_another_filtering_are_data_errors(dataset_path, tmp_path, 
 @pytest.mark.parametrize("command, flag", [
     ("train", ["--format", "tsv"]), ("evaluate", ["--format", "tsv"]),
     ("split", ["--w-o", "4"]), ("evaluate", ["--w-o", "4"]),
-], ids=["train-format", "evaluate-format", "split-w-o", "evaluate-w-o"])
+    ("diagnose", ["--inject-gradient-bug", "0.5"]),
+], ids=["train-format", "evaluate-format", "split-w-o", "evaluate-w-o",
+        "diagnose-inject-gradient-bug"])
 def test_flag_that_the_command_does_not_read_is_usage_error(dataset_path, tmp_path, capsys,
                                                             command, flag):
     out = tmp_path / "runs"
     argv = {"split": ["split"] + base_args(dataset_path, str(out)),
             "train": train_args(dataset_path, str(out)),
             "evaluate": ["evaluate"] + base_args(dataset_path, str(out))
-            + ["--run", str(tmp_path / "run")]}[command]
+            + ["--run", str(tmp_path / "run")],
+            "diagnose": ["diagnose"]}[command]
     assert main(argv + flag) == EXIT_USAGE
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
     assert not out.exists()

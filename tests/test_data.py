@@ -276,7 +276,10 @@ def test_columns_match_the_record_path(file, threshold, k, seed):
     b"1\t2\t5\n3\t4\t9\t0\n",                     # off the scale
     b"1\t2\tnan\n",                               # NaN
     b"1\t2\tx\t0\n1\t2\n",                        # the first of two bad lines
-], ids=["fields", "rating", "timestamp", "scale", "nan", "first-bad-line"])
+    b"1\t2\t5\t0\n3\t4\tx\n",                      # bad rating, 3 fields after 4
+    b"1\t2\t5\n3\t4\t1\n5\t6\t4\tt\n",             # bad timestamp, 4 fields after 3
+], ids=["fields", "rating", "timestamp", "scale", "nan", "first-bad-line", "mixed-rating",
+        "mixed-timestamp"])
 def test_parse_errors_match_the_record_path(tmp_path, text):
     path = tmp_path / "bad.tsv"
     path.write_bytes(text)
@@ -284,6 +287,21 @@ def test_parse_errors_match_the_record_path(tmp_path, text):
         new = _outcome(parse_ratings, source)
         assert new[0] == "raised" and new[3] is not None
         assert new == _outcome(helpers.reference_parse_ratings, source)
+
+
+def test_mixed_width_error_names_the_line_as_written():
+    # a missing timestamp is parsed as "::0", which would split "5:::0" as "5" and ":0"
+    text = b"1::2::5::0\n3::4::5:\n"
+    new = _outcome(parse_ratings, text, "movielens-dat")
+    assert new == _outcome(helpers.reference_parse_ratings, text, "movielens-dat")
+    assert new[2] == "line 2: bad rating field '5:'"
+
+
+@pytest.mark.parametrize("text", [b"", b"# header\n#\n", b"\n \n\t\r\n"],
+                         ids=["empty", "comments", "blank"])
+def test_file_without_ratings_parses_to_no_ids(text):
+    r = parse_ratings(text)
+    assert len(r.users) == len(r.items) == len(r) == len(r.user_ids) == len(r.item_ids) == 0
 
 
 @pytest.mark.parametrize("line", ["0\tu\ti\t5", "0\tu\ti\tx\t1", "0\tu\ti\t5\tt"],

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from signrec.data import RatingRecord
+from signrec import diagnostics
+from signrec.data import RatingRecord, build_descriptor
 from signrec.graph import (
     DuplicateEdgeError, SignedBipartiteGraph, build_signed_graph, normalized_adjacency, partition,
 )
+from signrec.rng import substream
+from signrec.train import sample_negatives
 
 from helpers import dense_adjacency, random_records, toy_descriptor
 
@@ -167,3 +170,45 @@ def test_degree_table_matches_brute_force():
         adj = normalized_adjacency(positive, variant)
         assert np.array_equal(np.diff(adj.matrix.indptr), counts + extra), variant
 
+
+
+def assert_same_graph(g, h):
+    assert (g.num_users, g.num_items) == (h.num_users, h.num_items)
+    for name in ("users", "items", "weights"):
+        a, b = getattr(g, name), getattr(h, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_diagnose_graphs_equal_the_graphs_of_their_records(monkeypatch):
+    # each check's ratings as records, drawn from its random stream in its order
+    rng = substream(7, "tiny-instance")
+    records, seen = [], set()
+    for _ in range(5 * 6 // 2):
+        u, v = int(rng.integers(5)), int(rng.integers(6))
+        if (u, v) not in seen:
+            seen.add((u, v))
+            records.append(RatingRecord(f"u{u}", f"i{v}", float(rng.choice([1, 2, 4, 5]))))
+    assert_same_graph(diagnostics.tiny_instance(), _graph(records, 5, 6))
+
+    records = [RatingRecord("probe", "a", 5.0), RatingRecord("probe", "b", 1.0),
+               RatingRecord("x0", "lo", 5.0)] + [RatingRecord(f"y{k}", "hi", 5.0)
+                                                 for k in range(16)]
+    expected = [build_signed_graph(records, build_descriptor(records), 3.5)]
+    rng = substream(13, "partition-check")
+    for _ in range(200):
+        num_users, num_items = int(rng.integers(2, 10)), int(rng.integers(2, 10))
+        count = int(rng.integers(1, num_users * num_items + 1))
+        pairs = rng.choice(num_users * num_items, size=count, replace=False)
+        records = [RatingRecord(f"u{p // num_items}", f"i{p % num_items}",
+                                float(rng.choice([1, 2, 3, 4, 5]))) for p in pairs]
+        expected.append(_graph(records, num_users, num_items))
+
+    built = []
+    monkeypatch.setattr(diagnostics, "sample_negatives",
+                        lambda g, *args: built.append(g) or sample_negatives(g, *args))
+    monkeypatch.setattr(diagnostics, "partition", lambda g: built.append(g) or partition(g))
+    diagnostics.sampler_tv_distance(draws=100)
+    assert diagnostics.check_partition().passed
+    assert len(built) == len(expected)
+    for g, h in zip(built, expected):
+        assert_same_graph(g, h)

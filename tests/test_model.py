@@ -25,7 +25,7 @@ def pair_graph():
 
 
 def _state_with(params):
-    return ModelState({k: Tensor(v, requires_grad=True) for k, v in params.items()})
+    return ModelState({k: Tensor(v) for k, v in params.items()})
 
 
 def test_lightgcn_single_pair_one_layer():
@@ -110,7 +110,7 @@ def test_fused_propagation_matches_reference_chain(backbone, layers):
             weights = gen.standard_normal((11 if rows is None else len(rows), cfg.output_dim))
             outs = []
             for op in (propagate, reference_propagate):
-                state = ModelState({n: Tensor(init[n].value.copy(), requires_grad=True)
+                state = ModelState({n: Tensor(init[n].value.copy())
                                     for n in init.names() if n.startswith("gnn.")})
                 z = op(adj, state, cfg, rows=rows)
                 _reduce_sum(_mul(z, _constant(weights))).backward()
@@ -178,7 +178,7 @@ def test_fused_mlp_matches_reference_chain(mlp_layers, p, training):
             weights = gen.standard_normal((n_out, cfg.output_dim))
             outs = []
             for op in (mlp_forward, reference_mlp_forward):
-                state = ModelState({n: Tensor(init[n].value.copy(), requires_grad=True)
+                state = ModelState({n: Tensor(init[n].value.copy())
                                     for n in names})
                 rng = substream(7, "dropout")
                 z = op(state, cfg, training, rng, rows)
@@ -263,9 +263,9 @@ def test_fused_attention_matches_reference_chain(variant, p, training):
         weights = np.random.default_rng(15).standard_normal(z_p.shape)
         outs = []
         for op in (attention_fuse, reference_attention_fuse):
-            state = ModelState({n: Tensor(init[n].value.copy(), requires_grad=True)
+            state = ModelState({n: Tensor(init[n].value.copy())
                                 for n in ("attn.w", "attn.q", "attn.b")})
-            zs = [Tensor(z.copy(), requires_grad=True) for z in (z_p, z_n)]
+            zs = [Tensor(z.copy()) for z in (z_p, z_n)]
             rng = substream(7, "dropout")
             alpha_p, alpha_n, fused = op(*zs, state, cfg, training, rng)
             _reduce_sum(_mul(fused, _constant(weights))).backward()

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 from signrec import train as train_mod
 from signrec.autodiff import Tensor
 from signrec.data import RatingRecord
-from signrec.graph import SignedBipartiteGraph, build_signed_graph, partition
-from signrec.model import AdjacencySet, ModelConfig, ModelState, forward_tensors, init_state
+from signrec.graph import BACKBONES, SignedBipartiteGraph, build_signed_graph, partition
+from signrec.model import (
+    VARIANTS, AdjacencySet, ModelConfig, ModelState, forward_tensors, init_state,
+)
 from signrec.rng import substream
 from signrec.diagnostics import check_gradients
 from signrec.train import (
@@ -211,7 +214,7 @@ def test_batch_rows_matches_unique():
 # loss
 
 def embedding_tensor(rows):
-    return Tensor(np.asarray(rows, dtype=float), requires_grad=True)
+    return Tensor(np.asarray(rows, dtype=float))
 
 
 def single_triple(sign):
@@ -267,7 +270,7 @@ def test_sign_aware_equals_standard_on_positive_batches():
 
 def test_loss_positive_and_regularization_term():
     z = embedding_tensor([[1.0], [1.0], [1.0]])
-    theta = Tensor(np.array([[2.0, -1.0]]), requires_grad=True)
+    theta = Tensor(np.array([[2.0, -1.0]]))
     state = ModelState({"p": theta})
     loss, _ = sign_aware_bpr_loss(z, 1, single_triple(+1), 2.0, 0.1, state)
     assert loss.value == pytest.approx(math.log(2) + 0.1 * 5.0)
@@ -280,8 +283,8 @@ def test_loss_positive_and_regularization_term():
 
 def test_l2_penalty_value_and_gradient():
     rng = np.random.default_rng(5)
-    state = ModelState({"a": Tensor(rng.standard_normal((2, 2)), requires_grad=True),
-                        "b": Tensor(rng.standard_normal((3, 1)), requires_grad=True)})
+    state = ModelState({"a": Tensor(rng.standard_normal((2, 2))),
+                        "b": Tensor(rng.standard_normal((3, 1)))})
     want = 0.3 * sum((t.value ** 2).sum() for t in state.tensors())
     assert l2_penalty(state, 0.3) == pytest.approx(want, rel=1e-12)
     h = 1e-6
@@ -385,11 +388,11 @@ def test_fused_loss_head_matches_reference_chain(loss_name):
         triples.negatives[0] = triples.items[-1]
         value = rng.standard_normal((num_users + num_items, 4)) * rng.choice([0.1, 1.0, 30.0])
         value[rng.integers(0, len(value))] = -0.0
-        state = ModelState({"w": Tensor(rng.standard_normal((3, 2)), requires_grad=True)})
+        state = ModelState({"w": Tensor(rng.standard_normal((3, 2)))})
         for lam in (0.0, 0.05):
             penalty = l2_penalty(state, lam)
-            z_fused = Tensor(value.copy(), requires_grad=True)
-            z_chain = Tensor(value.copy(), requires_grad=True)
+            z_fused = Tensor(value.copy())
+            z_chain = Tensor(value.copy())
             fused, terms = sign_aware_bpr_loss(z_fused, num_users, triples, 2.5, lam, state,
                                                loss_name)
             chain_terms = reference_triple_loss_terms(z_chain, num_users, triples, 2.5,
@@ -448,7 +451,7 @@ def test_row_restricted_step_matches_full_graph_step(backbone):
 # Adam
 
 def test_adam_first_step_is_signed_learning_rate():
-    p = Tensor(np.array([1.0]), requires_grad=True)
+    p = Tensor(np.array([1.0]))
     state = ModelState({"p": p})
     opt = Adam(state, lr=0.01)
     p.grad = np.array([0.5])
@@ -457,7 +460,7 @@ def test_adam_first_step_is_signed_learning_rate():
 
 
 def test_adam_zero_gradient_fixed_point():
-    p = Tensor(np.array([3.0, -2.0]), requires_grad=True)
+    p = Tensor(np.array([3.0, -2.0]))
     state = ModelState({"p": p})
     opt = Adam(state, lr=0.1)
     p.grad = np.zeros(2)
@@ -466,7 +469,7 @@ def test_adam_zero_gradient_fixed_point():
 
 
 def test_adam_descends_quadratic():
-    p = Tensor(np.array([4.0]), requires_grad=True)
+    p = Tensor(np.array([4.0]))
     state = ModelState({"p": p})
     opt = Adam(state, lr=0.1)
     def objective():
@@ -480,7 +483,7 @@ def test_adam_descends_quadratic():
 
 def test_adam_matches_out_of_place_update_bitwise():
     rng = np.random.default_rng(12)
-    p = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    p = Tensor(rng.standard_normal((4, 3)))
     opt = Adam(ModelState({"p": p}), lr=0.01)
     ref, m, v = p.value.copy(), np.zeros((4, 3)), np.zeros((4, 3))
     b1, b2, eps = 0.9, 0.999, 1e-8
@@ -495,7 +498,7 @@ def test_adam_matches_out_of_place_update_bitwise():
 
 
 def test_adam_rejects_non_finite_gradient():
-    p = Tensor(np.array([1.0]), requires_grad=True)
+    p = Tensor(np.array([1.0]))
     opt = Adam(ModelState({"p": p}), lr=0.1)
     p.grad = np.array([np.nan])
     with pytest.raises(TrainingDiverged):
@@ -508,8 +511,8 @@ def test_blocked_adam_matches_out_of_place_update_bitwise(rows, lam):
     """Tables below, at, twice and not a multiple of a 64-wide block (512 rows)."""
     assert train_mod.ADAM_BLOCK_BYTES // (8 * 64) == 512
     rng = np.random.default_rng(rows)
-    p = Tensor(rng.standard_normal((rows, 64)), requires_grad=True)
-    bias = Tensor(rng.standard_normal((1, 64)), requires_grad=True)
+    p = Tensor(rng.standard_normal((rows, 64)))
+    bias = Tensor(rng.standard_normal((1, 64)))
     opt = Adam(ModelState({"p": p, "bias": bias}), lr=0.01, lambda_reg=lam)
     ref, m, v = p.value.copy(), np.zeros((rows, 64)), np.zeros((rows, 64))
     b1, b2, eps = 0.9, 0.999, 1e-8
@@ -527,8 +530,8 @@ def test_blocked_adam_matches_out_of_place_update_bitwise(rows, lam):
 
 
 def test_blocked_adam_raises_on_nan_in_last_block():
-    p = Tensor(np.ones((1300, 64)), requires_grad=True)
-    q = Tensor(np.ones((3, 2)), requires_grad=True)
+    p = Tensor(np.ones((1300, 64)))
+    q = Tensor(np.ones((3, 2)))
     opt = Adam(ModelState({"gnn.h0": p, "attn.q": q}), lr=0.1, lambda_reg=0.01)
     p.grad = np.zeros((1300, 64))
     p.grad[-1, -1] = np.nan
@@ -647,3 +650,34 @@ def test_divergence_aborts():
     tcfg.learning_rate = 1e200  # overflows the squared-parameter term
     with pytest.raises(TrainingDiverged):
         train(g, cfg, tcfg)
+
+
+# sha256 of train_digest()'s outputs. A change to training numerics must regenerate it
+# on purpose and say so in CHANGES.md, never by accident.
+TRAIN_DIGEST = "df8b702f05a772fe829112b2e6ea31953db35502fdf5c660a2ced9ba648d765b"
+
+
+def train_digest() -> str:
+    """sha256 over epoch losses, final embeddings and every parameter of ``train()``
+    for 3 backbones x 4 variants, the standard loss and the positive-only baseline."""
+    g = planted_toy_graph()
+    runs = [(backbone, variant, {}) for backbone in BACKBONES for variant in VARIANTS]
+    runs += [("lightgcn", "no-gn", {"loss": "standard-bpr"}),
+             ("lightgcn", "no-gn", {"positive_edges_only": True})]
+    digest = hashlib.sha256()
+    for backbone, variant, options in runs:
+        cfg = ModelConfig(backbone=backbone, variant=variant, dim=4, gnn_layers=2, attn_dim=4)
+        tcfg = TrainConfig(n_neg=2, lambda_reg=0.05, learning_rate=0.01, batch_size=64,
+                           epochs=2, seed=9, **options)
+        result = train(g, cfg, tcfg)
+        digest.update(np.array([e.mean_loss for e in result.log]).tobytes())
+        digest.update(result.embeddings.tobytes())
+        for name in result.state.names():
+            digest.update(name.encode() + result.state[name].value.tobytes())
+    return digest.hexdigest()
+
+
+def test_train_digest_is_unchanged():
+    assert train_digest() == TRAIN_DIGEST, (
+        "train() numerics changed; if on purpose, set TRAIN_DIGEST to train_digest() and "
+        "say so in CHANGES.md")
