@@ -21,11 +21,11 @@ import scipy.sparse as sp
 class Tensor:
     __slots__ = ("value", "grad", "_parents", "_backward")
 
-    def __init__(self, value, parents=(), backward=None):
+    def __init__(self, value, parents=()):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
         self._parents = parents
-        self._backward = backward
+        self._backward = None
 
     @property
     def shape(self):

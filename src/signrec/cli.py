@@ -419,8 +419,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (data_mod.ParseError, data_mod.ValidationError, FileNotFoundError,
-            FileExistsError, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError and ValidationError included
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (TrainingDiverged, FloatingPointError) as exc:

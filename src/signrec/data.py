@@ -3,8 +3,8 @@ manifest directory a split writes: fold manifests and a node index.
 
 Ratings travel as columns (:class:`Ratings`) from the parse to evaluation:
 integer codes into the user- and item-id lists, the rating and the
-timestamp. Every function that takes ratings also takes an iterable of
-:class:`RatingRecord`, which it turns into columns once on entry.
+timestamp. Every function that takes ratings takes :class:`Ratings`;
+:class:`RatingRecord` is one row of them.
 """
 from __future__ import annotations
 
@@ -24,10 +24,10 @@ RATING_SCALE = (1.0, 5.0)
 
 
 class ParseError(ValueError):
-    """Malformed input line; carries the 1-based line number and, if known, the file."""
+    """Malformed input line; carries the file and the 1-based line number."""
 
-    def __init__(self, message: str, line_no: int, path: str | None = None):
-        super().__init__(f"{path + ': ' if path else ''}line {line_no}: {message}")
+    def __init__(self, message: str, line_no: int, path: str):
+        super().__init__(f"{path}: line {line_no}: {message}")
         self.line_no = line_no
 
 
@@ -122,11 +122,6 @@ class Ratings:
         return users[:row], items[:row], KeyError(name)
 
 
-def as_ratings(records) -> Ratings:
-    """``records`` as columns: a :class:`Ratings` as is, an iterable of records converted."""
-    return records if isinstance(records, Ratings) else Ratings.from_records(records)
-
-
 @dataclass
 class DatasetDescriptor:
     """Bijective maps from external identifiers to dense indices."""
@@ -172,17 +167,7 @@ def _lines(text: str) -> list:
     return lines
 
 
-def _read_text(source) -> tuple:
-    """(text, path) of a path, bytes, or a text or binary file object; path None if none."""
-    if isinstance(source, (str, os.PathLike)):
-        path = os.fspath(source)
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            return fh.read(), path
-    text = source if isinstance(source, bytes) else source.read()
-    return (text.decode("utf-8") if isinstance(text, bytes) else text), None
-
-
-def _raise_first_bad_line(lines: list, sep: str, path) -> None:
+def _raise_first_bad_line(lines: list, sep: str, path: str) -> None:
     """Raise the error of the first line that ``parse_ratings`` rejects, if any."""
     lo, hi = RATING_SCALE
     for line_no, line in enumerate(lines, start=1):
@@ -205,17 +190,18 @@ def _raise_first_bad_line(lines: list, sep: str, path) -> None:
             raise ValidationError(f"rating {rating} outside scale [{lo}, {hi}]", line_no, path)
 
 
-def parse_ratings(source, format: str = "tsv") -> Ratings:
-    """Parse a rating file into columns, one row per rating line.
+def parse_ratings(path, format: str = "tsv") -> Ratings:
+    """Parse the rating file at ``path`` into columns, one row per rating line.
 
-    ``source`` may be a path, a file object, or bytes; lines end at ``\\n``,
-    ``\\r\\n`` or ``\\r`` for each. Blank lines and lines starting with
-    ``#`` are skipped, and still count in the line numbers of errors.
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r``. Blank lines and lines starting
+    with ``#`` are skipped, and still count in the line numbers of errors.
     """
     if format not in _SEPARATORS:
         raise ValueError(f"unknown format {format!r}")
     sep = _SEPARATORS[format]
-    text, path = _read_text(source)
+    path = os.fspath(path)
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        text = fh.read()
     lines = _lines(text)
     n = len(lines)
     skip = np.fromiter(map(str.isspace, lines), bool, n)
@@ -247,7 +233,7 @@ def parse_ratings(source, format: str = "tsv") -> Ratings:
     return Ratings(list(user_ids), list(item_ids), users, items, rating, timestamp)
 
 
-def filter_min_interactions(records, threshold: int) -> Ratings:
+def filter_min_interactions(ratings: Ratings, threshold: int) -> Ratings:
     """Iteratively drop users/items with fewer than ``threshold`` interactions.
 
     Removal cascades (dropping an item can push a user below the threshold),
@@ -255,7 +241,6 @@ def filter_min_interactions(records, threshold: int) -> Ratings:
     """
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
-    ratings = as_ratings(records)
     keep = np.ones(len(ratings), dtype=bool)
     while threshold:
         user_counts = np.bincount(ratings.users[keep], minlength=len(ratings.user_ids))
@@ -292,23 +277,21 @@ def _first_seen(codes: np.ndarray, ids: list) -> dict:
     return dict(zip(map(ids.__getitem__, ordered), range(len(ordered))))
 
 
-def build_descriptor(records) -> DatasetDescriptor:
+def build_descriptor(ratings: Ratings) -> DatasetDescriptor:
     """Assign dense indices by order of first appearance."""
-    ratings = as_ratings(records)
     user_index = _first_seen(ratings.users, ratings.user_ids)
     item_index = _first_seen(ratings.items, ratings.item_ids)
     return DatasetDescriptor(len(user_index), len(item_index), user_index, item_index)
 
 
-def kfold_split(records, k: int, seed: int) -> list:
+def kfold_split(ratings: Ratings, k: int, seed: int) -> list:
     """Deterministic k-fold partition of the globally shuffled ratings."""
-    ratings = as_ratings(records)
     if k < 2:
         raise ValueError("k must be >= 2")
     if not len(ratings):
-        raise ValueError("records must be non-empty")
+        raise ValueError("ratings must be non-empty")
     if k > len(ratings):
-        raise ValueError(f"k={k} exceeds record count {len(ratings)}")
+        raise ValueError(f"k={k} exceeds rating count {len(ratings)}")
     rng = substream(seed, "split")
     order = rng.permutation(len(ratings))
     folds = []
@@ -321,7 +304,7 @@ def kfold_split(records, k: int, seed: int) -> list:
 
 
 def write_fold_manifests(folds, directory, force: bool = False) -> list:
-    """Write one TSV manifest per fold holding that fold's test records.
+    """Write one TSV manifest per fold holding that fold's test ratings.
 
     Columns: ``fold  user  item  rating  timestamp``. The train set of fold i
     is the union of every other fold's manifest. Without ``force``, an
@@ -335,7 +318,7 @@ def write_fold_manifests(folds, directory, force: bool = False) -> list:
     if existing and not force:
         raise FileExistsError(f"{existing[0]} exists; pass force to overwrite")
     for fold, path in zip(folds, paths):
-        test = as_ratings(fold.test)
+        test = fold.test
         line = f"{fold.fold_index}\t{{}}\t{{}}\t{{}}\t{{}}\n".format
         ratings = test.rating.tolist()
         formatted = {rating: _format_rating(rating) for rating in set(ratings)}

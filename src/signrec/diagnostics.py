@@ -14,7 +14,7 @@ import numpy as np
 from .graph import SignedBipartiteGraph, partition
 from .model import AdjacencySet, ModelConfig, init_state
 from .rng import substream
-from .train import TrainConfig, batch_loss, penalized_gradient, sample_negatives
+from .train import NegativeSampler, TrainConfig, batch_loss, penalized_gradient, sample_negatives
 
 
 @dataclass
@@ -31,9 +31,10 @@ def _signed_graph(num_users: int, num_items: int, users, items, ratings) -> Sign
                                 np.array(items, np.int64), np.array(ratings, np.float64) - 3.5)
 
 
-def tiny_instance(num_users: int = 5, num_items: int = 6, seed: int = 7):
+def tiny_instance():
     """Small random signed graph with a mix of high and low ratings."""
-    rng = substream(seed, "tiny-instance")
+    num_users, num_items = 5, 6
+    rng = substream(7, "tiny-instance")
     ratings = {}
     for _ in range(num_users * num_items // 2):
         pair = int(rng.integers(num_users)), int(rng.integers(num_items))
@@ -43,8 +44,7 @@ def tiny_instance(num_users: int = 5, num_items: int = 6, seed: int = 7):
     return _signed_graph(num_users, num_items, users, items, list(ratings.values()))
 
 
-def gradient_max_relative_error(cfg: ModelConfig, seed: int = 7, h: float = 1e-4,
-                                c: float = 2.0, lambda_reg: float = 0.05) -> float:
+def gradient_max_relative_error(cfg: ModelConfig) -> float:
     """Max relative error of analytic vs central-difference gradients.
 
     Differentiates the loss of one training step as ``train`` computes it
@@ -52,11 +52,12 @@ def gradient_max_relative_error(cfg: ModelConfig, seed: int = 7, h: float = 1e-4
     analytic gradient is the tape's plus the L2 penalty's, added by
     ``penalized_gradient`` as the optimizer adds it.
     """
-    g = tiny_instance(seed=seed)
+    seed, h, lambda_reg = 7, 1e-4, 0.05
+    g = tiny_instance()
     adjs = AdjacencySet.build(g, cfg)
     state = init_state(cfg, g.num_users, g.num_items, substream(seed, "init"))
-    triples = sample_negatives(g, 2, substream(seed, "sampling"))
-    tcfg = TrainConfig(c=c, lambda_reg=lambda_reg)
+    triples = sample_negatives(NegativeSampler(g, 2), substream(seed, "sampling"))
+    tcfg = TrainConfig(c=2.0, lambda_reg=lambda_reg)
 
     def loss_tensor():
         loss, _ = batch_loss(adjs, state, cfg, tcfg, g.num_users, triples)
@@ -87,15 +88,15 @@ def gradient_max_relative_error(cfg: ModelConfig, seed: int = 7, h: float = 1e-4
     return worst
 
 
-def check_gradients(tolerance: float = 1e-4) -> CheckResult:
+def check_gradients() -> CheckResult:
     cfg = ModelConfig(backbone="lightgcn", variant="mlp-gn", dim=4,
                       gnn_layers=2, attn_dim=4, dropout_p=0.0)
-    worst = gradient_max_relative_error(cfg)
+    worst, tolerance = gradient_max_relative_error(cfg), 1e-4
     return CheckResult("gradient-check", worst < tolerance,
                        f"max relative error {worst:.3e} (tolerance {tolerance:g})")
 
 
-def sampler_tv_distance(draws: int = 100_000, seed: int = 11) -> float:
+def sampler_tv_distance(draws: int = 100_000) -> float:
     """Total-variation distance of empirical vs exact restricted frequencies.
 
     Toy graph: probe user 0 with two edges, to items 0 and 1; two candidate
@@ -111,21 +112,21 @@ def sampler_tv_distance(draws: int = 100_000, seed: int = 11) -> float:
     exact /= exact.sum()
 
     n_neg = draws // int((g.users == probe).sum())
-    triples = sample_negatives(g, n_neg, substream(seed, "sampler-check"))
+    triples = sample_negatives(NegativeSampler(g, n_neg), substream(11, "sampler-check"))
     mask = triples.users == probe
     counts = np.bincount(triples.negatives[mask], minlength=g.num_items).astype(float)
     empirical = counts / counts.sum()
     return 0.5 * float(np.abs(empirical - exact).sum())
 
 
-def check_sampler(tolerance: float = 0.01) -> CheckResult:
-    tv = sampler_tv_distance()
+def check_sampler() -> CheckResult:
+    tv, tolerance = sampler_tv_distance(), 0.01
     return CheckResult("sampler-distribution", tv < tolerance,
                        f"total-variation distance {tv:.4f} (tolerance {tolerance:g})")
 
 
-def check_partition(cases: int = 200, seed: int = 13) -> CheckResult:
-    rng = substream(seed, "partition-check")
+def check_partition(cases: int = 200) -> CheckResult:
+    rng = substream(13, "partition-check")
     failures = 0
     for _ in range(cases):
         num_users = int(rng.integers(2, 10))

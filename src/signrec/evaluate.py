@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import as_ratings
-
 GROUP_BINS = ((0, 20), (20, 50), (50, math.inf))
 GROUND_TRUTH_MIN_RATING = 4.0
 BLOCK_USERS = 64  # users per score matrix: 64 x 3,700 items in float64 is 1.9 MB
@@ -98,16 +96,15 @@ def _item_sets(ratings, descriptor) -> dict:
                     map(sets.__getitem__, appearance)))
 
 
-def ground_truth(test_records, descriptor) -> dict:
+def ground_truth(test, descriptor) -> dict:
     """Per-user set of test items rated at or above the relevance cutoff."""
-    test = as_ratings(test_records)
     return _item_sets(test.take(np.flatnonzero(test.rating >= GROUND_TRUTH_MIN_RATING)),
                       descriptor)
 
 
-def train_interactions(train_records, descriptor) -> dict:
+def train_interactions(train, descriptor) -> dict:
     """Per-user set of training items (both signs), used for exclusion."""
-    return _item_sets(as_ratings(train_records), descriptor)
+    return _item_sets(train, descriptor)
 
 
 def _mean_report(per_k: dict, members: np.ndarray) -> RankingReport:

@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 
 # build_signed_graph raises DuplicateEdgeError, so it is importable from here too
-from .data import DuplicateEdgeError, as_ratings, reject_repeated_pairs
+from .data import DuplicateEdgeError, Ratings, reject_repeated_pairs
 
 BACKBONES = ("lightgcn", "lrgccf", "ngcf")
 
@@ -36,16 +36,17 @@ class NormalizedAdjacency:
     matrix: sp.csr_matrix     # (M+N) x (M+N) propagation coefficients
 
 
-def build_signed_graph(records, descriptor, w_o: float) -> SignedBipartiteGraph:
+def build_signed_graph(ratings, descriptor, w_o: float) -> SignedBipartiteGraph:
     """Sign each training rating against the threshold ``w_o``.
 
+    ``ratings`` is :class:`Ratings` or an iterable of rating records.
     Edge weight is ``rating - w_o``; exact-zero weights are dropped since
     they belong to neither sign partition. Repeated (user, item) pairs are
     rejected rather than deduplicated. Edges keep the ratings' order.
     """
     if w_o <= 0:
         raise ValueError("w_o must be positive")
-    ratings = as_ratings(records)
+    ratings = ratings if isinstance(ratings, Ratings) else Ratings.from_records(ratings)
     users, items, missing = ratings.dense(descriptor)
     reject_repeated_pairs(ratings, users, items)
     if missing is not None:

@@ -148,32 +148,25 @@ class NegativeSampler:
         items[split] = self.cdf.searchsorted(u[split], side="right")
         return items
 
-    def _is_edge(self, keys: np.ndarray) -> np.ndarray:
+    def is_edge(self, keys: np.ndarray) -> np.ndarray:
         return (self.bits[keys >> 3] & _bit(keys)).astype(bool)
 
-    def draw(self, rng: np.random.Generator) -> TrainingTriples:
-        negatives = self.items_at(rng.random(len(self.users)))
-        pending = self._is_edge(self.users * self.num_items + negatives)
-        while pending.any():
-            idx = np.flatnonzero(pending)
-            negatives[idx] = self.items_at(rng.random(len(idx)))
-            pending[idx] = self._is_edge(self.users[idx] * self.num_items + negatives[idx])
-        return TrainingTriples(self.users, self.items, negatives, self.signs)
 
+def sample_negatives(sampler: NegativeSampler, rng: np.random.Generator) -> TrainingTriples:
+    """Draw an unobserved item for each of ``sampler``'s triples by rejection sampling.
 
-def sample_negatives(g: SignedBipartiteGraph, n_neg: int, rng: np.random.Generator,
-                     sampler: NegativeSampler | None = None) -> TrainingTriples:
-    """Draw ``n_neg`` unobserved items per edge by rejection sampling.
-
-    Candidates are rejected while they fall inside the user's neighborhood;
-    users adjacent to every samplable item are skipped with a warning.
-    ``sampler``, built once for ``g`` and ``n_neg``, saves redoing the
-    set-up on every call. The draws and the generator's state afterwards
-    equal those of ``rng.choice(num_items, size, p=P)`` calls.
+    Candidates are rejected while they fall inside the user's neighborhood.
+    The draws and the generator's state afterwards equal those of
+    ``rng.choice(num_items, size, p=P)`` calls.
     """
-    if sampler is None:
-        sampler = NegativeSampler(g, n_neg)
-    return sampler.draw(rng)
+    users = sampler.users
+    negatives = sampler.items_at(rng.random(len(users)))
+    pending = sampler.is_edge(users * sampler.num_items + negatives)
+    while pending.any():
+        idx = np.flatnonzero(pending)
+        negatives[idx] = sampler.items_at(rng.random(len(idx)))
+        pending[idx] = sampler.is_edge(users[idx] * sampler.num_items + negatives[idx])
+    return TrainingTriples(users, sampler.items, negatives, sampler.signs)
 
 
 def sign_aware_bpr_loss(z: Tensor, num_users: int, triples: TrainingTriples,
@@ -255,6 +248,7 @@ def batch_loss(adjs: AdjacencySet, state: ModelState, cfg: ModelConfig,
 
 
 ADAM_BLOCK_BYTES = 256 * 1024  # per array; a block and its scratch stay in cache
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
@@ -268,12 +262,10 @@ class Adam:
     are then already updated.
     """
 
-    def __init__(self, state: ModelState, lr: float, lambda_reg: float = 0.0,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, state: ModelState, lr: float, lambda_reg: float = 0.0):
         self.state = state
         self.lr = lr
         self.lambda_reg = lambda_reg
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         self.m = {n: np.zeros_like(state[n].value) for n in state.names()}
         self.v = {n: np.zeros_like(state[n].value) for n in state.names()}
@@ -291,7 +283,7 @@ class Adam:
     def step(self) -> None:
         self.step_count += 1
         t = self.step_count
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for name in self.state.names():
             p = self.state[name]
             value, m, v = (self._as_rows(a) for a in (p.value, self.m[name], self.v[name]))
@@ -319,7 +311,7 @@ class Adam:
                 step *= self.lr
                 denom = np.divide(vb, 1 - b2 ** t, out=tmp)
                 np.sqrt(denom, out=denom)
-                denom += self.eps
+                denom += ADAM_EPS
                 step /= denom
                 pb -= step
 
@@ -354,7 +346,7 @@ def train(g: SignedBipartiteGraph, cfg: ModelConfig, tcfg: TrainConfig,
     for epoch in range(tcfg.epochs):
         start = time.perf_counter()
         sample_rng = substream(tcfg.seed, "sampling", epoch)
-        triples = sample_negatives(g, tcfg.n_neg, sample_rng, sampler)
+        triples = sample_negatives(sampler, sample_rng)
         order = sample_rng.permutation(len(triples))
         dropout_rng = substream(tcfg.seed, "dropout", epoch)
 

@@ -620,16 +620,11 @@ def planted_dataset(num_users=400, num_items=400, clusters=4,
 # record-based data path: one RatingRecord per rating, plain loops. The
 # library keeps ratings as columns; these oracles vouch for it.
 
-def reference_parse_ratings(source, format="tsv"):
+def reference_parse_ratings(path, format="tsv"):
     sep = {"tsv": "\t", "movielens-dat": "::"}[format]
-    path = os.fspath(source) if isinstance(source, (str, os.PathLike)) else None
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    elif isinstance(source, bytes):
-        lines = source.decode("utf-8").splitlines()
-    else:
-        lines = source.readlines()
+    path = os.fspath(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.readlines()
     lo, hi = RATING_SCALE
     records = []
     for line_no, line in enumerate(lines, start=1):

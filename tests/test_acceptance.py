@@ -12,7 +12,7 @@ import pytest
 
 from signrec import autodiff as ad
 from signrec.autodiff import Tensor
-from signrec.data import build_descriptor, kfold_split
+from signrec.data import Ratings, build_descriptor, kfold_split
 from signrec.diagnostics import (
     check_partition, gradient_max_relative_error, sampler_tv_distance,
 )
@@ -39,7 +39,7 @@ def test_criterion_01_gradient_correctness_all_backbones_and_variants():
     for backbone, variant in itertools.product(BACKBONES, VARIANTS):
         cfg = ModelConfig(backbone=backbone, variant=variant, dim=4,
                           gnn_layers=2, attn_dim=4, dropout_p=0.0)
-        worst[(backbone, variant)] = gradient_max_relative_error(cfg, h=1e-4)
+        worst[(backbone, variant)] = gradient_max_relative_error(cfg)
     elapsed = time.perf_counter() - start
     assert max(worst.values()) < 1e-4, worst
     assert elapsed < 10.0, f"gradient checks took {elapsed:.1f}s"
@@ -138,7 +138,7 @@ DESK_CONFIGS = {
 @pytest.fixture(scope="module")
 def desk_scale_ndcg():
     """nDCG@10 per fold for each desk-scale configuration."""
-    records = latent_factor_dataset(seed=DESK_SEED)
+    records = Ratings.from_records(latent_factor_dataset(seed=DESK_SEED))
     desc = build_descriptor(records)
     folds = kfold_split(records, 5, DESK_SEED)
     results = {name: [] for name in DESK_CONFIGS}

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -308,6 +309,33 @@ def test_threads_without_threadpoolctl(dataset_path, tmp_path, monkeypatch, caps
     assert main(args) == expected
     assert ("threadpoolctl" in capsys.readouterr().err) == (expected == EXIT_USAGE)
     assert not [r for r in caplog.records if "thread" in r.getMessage()]
+
+
+def test_threads_with_threadpoolctl_limit_its_pools(dataset_path, tmp_path, monkeypatch):
+    calls = []
+    fake = types.ModuleType("threadpoolctl")
+    fake.threadpool_limits = lambda **kwargs: calls.append(kwargs)
+    monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
+    args = ["split"] + base_args(dataset_path, str(tmp_path / "runs")) + ["--threads", "2"]
+    assert main(args) == EXIT_OK
+    assert calls == [{"limits": 2}]
+
+
+@pytest.mark.parametrize("target", ["dataset", "out"])
+def test_os_error_is_a_data_error_naming_the_path(dataset_path, tmp_path, capsys, target):
+    # a directory where the dataset file belongs, or a file where the output
+    # directory belongs
+    path = tmp_path / target
+    if target == "dataset":
+        path.mkdir()
+        args = ["--dataset", str(path), "--folds", "3", "--out", str(tmp_path / "runs")]
+    else:
+        path.write_text("")
+        args = base_args(dataset_path, str(path))
+    assert main(["split"] + args) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(path) in err, err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("row", ["0\tu1\ti1\tx\t5", "0\tu1\ti1\t4\tt", "0\tu1"])

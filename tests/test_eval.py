@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from signrec.data import RatingRecord
+from signrec.data import RatingRecord, Ratings
 from signrec.evaluate import (
     aggregate_fold_reports, evaluate, format_report, ground_truth, topk_recommend,
     train_interactions, write_report_csv,
@@ -117,7 +117,7 @@ def test_ground_truth_keeps_only_high_ratings():
     desc = toy_descriptor(2, 3)
     records = [RatingRecord("u0", "i0", 4.0), RatingRecord("u0", "i1", 3.0),
                RatingRecord("u1", "i2", 5.0)]
-    truth = ground_truth(records, desc)
+    truth = ground_truth(Ratings.from_records(records), desc)
     assert truth == {0: {0}, 1: {2}}
 
 
@@ -267,4 +267,4 @@ def test_aggregate_fold_reports():
 def test_train_interactions_both_signs():
     desc = toy_descriptor(1, 3)
     records = [RatingRecord("u0", "i0", 5.0), RatingRecord("u0", "i1", 1.0)]
-    assert train_interactions(records, desc) == {0: {0, 1}}
+    assert train_interactions(Ratings.from_records(records), desc) == {0: {0, 1}}

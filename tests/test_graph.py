@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from signrec import diagnostics
-from signrec.data import RatingRecord, build_descriptor
+from signrec.data import RatingRecord, Ratings, build_descriptor
 from signrec.graph import (
     DuplicateEdgeError, SignedBipartiteGraph, build_signed_graph, normalized_adjacency, partition,
 )
 from signrec.rng import substream
-from signrec.train import sample_negatives
+from signrec.train import NegativeSampler
 
 from helpers import dense_adjacency, random_records, toy_descriptor
 
@@ -193,7 +193,7 @@ def test_diagnose_graphs_equal_the_graphs_of_their_records(monkeypatch):
     records = [RatingRecord("probe", "a", 5.0), RatingRecord("probe", "b", 1.0),
                RatingRecord("x0", "lo", 5.0)] + [RatingRecord(f"y{k}", "hi", 5.0)
                                                  for k in range(16)]
-    expected = [build_signed_graph(records, build_descriptor(records), 3.5)]
+    expected = [build_signed_graph(records, build_descriptor(Ratings.from_records(records)), 3.5)]
     rng = substream(13, "partition-check")
     for _ in range(200):
         num_users, num_items = int(rng.integers(2, 10)), int(rng.integers(2, 10))
@@ -204,8 +204,8 @@ def test_diagnose_graphs_equal_the_graphs_of_their_records(monkeypatch):
         expected.append(_graph(records, num_users, num_items))
 
     built = []
-    monkeypatch.setattr(diagnostics, "sample_negatives",
-                        lambda g, *args: built.append(g) or sample_negatives(g, *args))
+    monkeypatch.setattr(diagnostics, "NegativeSampler",
+                        lambda g, n_neg: built.append(g) or NegativeSampler(g, n_neg))
     monkeypatch.setattr(diagnostics, "partition", lambda g: built.append(g) or partition(g))
     diagnostics.sampler_tv_distance(draws=100)
     assert diagnostics.check_partition().passed

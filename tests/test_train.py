@@ -36,15 +36,15 @@ def small_graph(rng=None, num_users=5, num_items=6, count=14):
 
 def test_sample_count_is_edges_times_n_neg():
     g = small_graph()
-    triples = sample_negatives(g, 40, substream(0, "s"))
+    triples = sample_negatives(NegativeSampler(g, 40), substream(0, "s"))
     assert len(triples) == g.num_edges * 40
-    triples = sample_negatives(g, 1, substream(0, "s"))
+    triples = sample_negatives(NegativeSampler(g, 1), substream(0, "s"))
     assert len(triples) == g.num_edges
 
 
 def test_samples_avoid_user_neighborhood():
     g = small_graph(count=20)
-    triples = sample_negatives(g, 10, substream(1, "s"))
+    triples = sample_negatives(NegativeSampler(g, 10), substream(1, "s"))
     edges = set(zip(g.users.tolist(), g.items.tolist()))
     assert all((u, j) not in edges for u, j in zip(triples.users, triples.negatives))
 
@@ -54,7 +54,7 @@ def test_forced_negative_when_single_candidate():
     records = [RatingRecord("u0", f"i{v}", 5.0) for v in range(4)] \
         + [RatingRecord("u1", "i4", 5.0)]
     g = build_signed_graph(records, toy_descriptor(2, 5), 3.5)
-    triples = sample_negatives(g, 25, substream(2, "s"))
+    triples = sample_negatives(NegativeSampler(g, 25), substream(2, "s"))
     probe = triples.negatives[triples.users == 0]
     assert len(probe) == 100 and (probe == 4).all()
 
@@ -65,7 +65,7 @@ def test_saturated_user_skipped_with_warning(caplog):
         + [RatingRecord("u1", "i0", 4.0)]
     g = build_signed_graph(records, toy_descriptor(2, 4), 3.5)
     with caplog.at_level("WARNING"):
-        triples = sample_negatives(g, 5, substream(3, "s"))
+        triples = sample_negatives(NegativeSampler(g, 5), substream(3, "s"))
     assert (triples.users != 0).all()
     assert len(triples) == 1 * 5
     assert any("adjacent to all" in rec.message for rec in caplog.records)
@@ -83,10 +83,10 @@ def test_degree_based_sampling_odds():
     records = [RatingRecord("probe", "a", 5.0), RatingRecord("probe", "b", 1.0),
                RatingRecord("x", "lo", 5.0)]
     records += [RatingRecord(f"y{k}", "hi", 5.0) for k in range(16)]
-    from signrec.data import build_descriptor
-    desc = build_descriptor(records)
+    from signrec.data import Ratings, build_descriptor
+    desc = build_descriptor(Ratings.from_records(records))
     g = build_signed_graph(records, desc, 3.5)
-    triples = sample_negatives(g, 2000, substream(4, "s"))
+    triples = sample_negatives(NegativeSampler(g, 2000), substream(4, "s"))
     mask = triples.users == desc.user_index["probe"]
     counts = np.bincount(triples.negatives[mask], minlength=g.num_items)
     lo, hi = counts[desc.item_index["lo"]], counts[desc.item_index["hi"]]
@@ -96,7 +96,7 @@ def test_degree_based_sampling_odds():
 
 def test_sign_column_matches_edge_weights():
     g = small_graph(count=20)
-    triples = sample_negatives(g, 3, substream(5, "s"))
+    triples = sample_negatives(NegativeSampler(g, 3), substream(5, "s"))
     signs = dict(zip(zip(g.users.tolist(), g.items.tolist()), np.sign(g.weights)))
     for u, i, s in zip(triples.users, triples.items, triples.signs):
         assert s == signs[(u, i)]
@@ -129,7 +129,7 @@ def test_sampler_matches_reference_on_fuzzed_graphs():
         sampler = NegativeSampler(g, n_neg)
         for epoch in range(3):
             rng_a, rng_b = substream(case, "s", epoch), substream(case, "s", epoch)
-            got = sample_negatives(g, n_neg, rng_a, sampler)
+            got = sample_negatives(sampler, rng_a)
             want = reference_sample_negatives(g, n_neg, rng_b)
             for field in ("users", "items", "negatives", "signs"):
                 assert np.array_equal(getattr(got, field), getattr(want, field)), \
@@ -419,7 +419,7 @@ def test_row_restricted_step_matches_full_graph_step(backbone):
                                    positive_edges_only=positive_only)
                 adjs = AdjacencySet.build(g, cfg)
                 state = init_state(cfg, g.num_users, g.num_items, substream(3, "init"))
-                triples = sample_negatives(g, 1, substream(3, "s"))
+                triples = sample_negatives(NegativeSampler(g, 1), substream(3, "s"))
                 batch = triples.take(np.arange(0, len(triples), 4))
                 rows, _ = batch_rows(batch, g.num_users)
                 assert len(rows) < g.num_users + g.num_items  # some rows left out
@@ -564,7 +564,7 @@ def test_training_steps_match_reference_bitwise(backbone, block_bytes, monkeypat
                 opt = (ReferenceAdam(state, tcfg.learning_rate) if reference
                        else Adam(state, tcfg.learning_rate, tcfg.lambda_reg))
                 dropout_rng = substream(3, "dropout")
-                triples = sample_negatives(g, 2, substream(3, "s"))
+                triples = sample_negatives(NegativeSampler(g, 2), substream(3, "s"))
                 losses = []
                 for lo in range(0, len(triples), 16):
                     batch = triples.take(np.arange(lo, min(lo + 16, len(triples))))
@@ -629,8 +629,8 @@ def test_training_is_deterministic():
 
 def test_resampling_differs_across_epochs():
     g = planted_toy_graph()
-    t0 = sample_negatives(g, 2, substream(1, "sampling", 0))
-    t1 = sample_negatives(g, 2, substream(1, "sampling", 1))
+    t0 = sample_negatives(NegativeSampler(g, 2), substream(1, "sampling", 0))
+    t1 = sample_negatives(NegativeSampler(g, 2), substream(1, "sampling", 1))
     assert not np.array_equal(t0.negatives, t1.negatives)
 
 
