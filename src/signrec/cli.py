@@ -104,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--lr", type=float)
     p_train.add_argument("--batch-size", type=int)
     p_train.add_argument("--epochs", type=int)
-    p_train.add_argument("--checkpoint-every", type=int, default=0)
 
     p_eval = sub.add_parser("evaluate", help="evaluate trained folds")
     common(p_eval)
@@ -183,14 +182,16 @@ def _merge_config(args) -> ExperimentConfig:
         raise UsageError(f"--format must be one of {', '.join(data_mod.FORMATS)}")
     if cfg.min_interactions < 0:
         raise UsageError("--min-interactions must be >= 0")
-    if getattr(args, "checkpoint_every", 0) < 0:
-        raise UsageError("--checkpoint-every must be >= 0")
 
     try:
         cfg.model = ModelConfig(**given(_MODEL_FLAGS))
         cfg.training = TrainConfig(seed=cfg.seed, **given(_TRAINING_FLAGS))
     except ValueError as exc:  # a config object's check, or a bad config-file value
         raise UsageError(str(exc)) from None
+    # with no negative edge, no-split is no-gn and gnn-gn's second GNN sees an empty graph
+    if cfg.training.positive_edges_only and cfg.model.variant in ("no-split", "gnn-gn"):
+        raise UsageError(f"--positive-only leaves no negative edge for --variant "
+                         f"{cfg.model.variant}; use no-gn or mlp-gn")
     return cfg
 
 
@@ -243,15 +244,6 @@ def _manifest_ids(directory: str):
     except KeyError as exc:
         raise ValueError(f"{directory}: the manifests name {exc.args[0]!r}, which its "
                          f"{data_mod.NODE_INDEX} does not hold; split it again") from None
-
-
-@contextlib.contextmanager
-def _holding(path: str, what: str):
-    """Report a file that does not parse as ``what`` as a data error naming it."""
-    try:
-        yield
-    except ValueError as exc:  # bad JSON or UTF-8; an empty, truncated or foreign .npy file
-        raise ValueError(f"{path}: not {what} ({exc})") from None
 
 
 @contextlib.contextmanager
@@ -312,14 +304,7 @@ def cmd_train(args, cfg: ExperimentConfig) -> int:
             os.makedirs(sub, exist_ok=True)
         with open(os.path.join(run_dir, "config"), "w", encoding="utf-8") as fh:
             json.dump(asdict(cfg) | {"fold": args.fold}, fh, indent=2, sort_keys=True)
-
-        def on_epoch(entry, state):
-            if args.checkpoint_every and (entry.epoch + 1) % args.checkpoint_every == 0:
-                save_checkpoint(os.path.join(run_dir, "checkpoints", f"epoch{entry.epoch}.npz"),
-                                state)
-
-        result = train(g, cfg.model, cfg.training, epoch_callback=on_epoch)
-
+        result = train(g, cfg.model, cfg.training)
         save_checkpoint(os.path.join(run_dir, "checkpoints", "final.npz"), result.state)
         np.save(os.path.join(run_dir, "embeddings.npy"), result.embeddings)
         with open(os.path.join(run_dir, "logs", "epochs.csv"), "w", newline="",
@@ -344,7 +329,8 @@ def cmd_evaluate(args, cfg: ExperimentConfig) -> int:
         config_path, emb_path = (os.path.join(run_dir, f) for f in ("config", "embeddings.npy"))
         if not os.path.isfile(config_path):
             raise FileNotFoundError(f"{run_dir}: missing config")
-        with open(config_path, "r", encoding="utf-8") as fh, _holding(config_path, "a run config"):
+        with (open(config_path, "r", encoding="utf-8") as fh,
+              data_mod.holding(config_path, "a run config")):
             run_cfg = json.load(fh)
         if not isinstance(run_cfg, dict):
             raise ValueError(f"{config_path}: not a run config (a JSON object)")
@@ -356,7 +342,7 @@ def cmd_evaluate(args, cfg: ExperimentConfig) -> int:
         fold = folds[fold_index]
         if not os.path.isfile(emb_path):
             raise FileNotFoundError(f"{emb_path} is missing: the run's training did not finish")
-        with open(emb_path, "rb") as fh, _holding(emb_path, "an embeddings array"):
+        with open(emb_path, "rb") as fh, data_mod.holding(emb_path, "an embeddings array"):
             embeddings = np.lib.format.read_array(fh)  # np.load's reader for a .npy file
         nodes = descriptor.num_users + descriptor.num_items
         if embeddings.ndim != 2 or embeddings.shape[0] != nodes:

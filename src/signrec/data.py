@@ -8,6 +8,7 @@ timestamp. Every function that takes ratings takes :class:`Ratings`;
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -37,6 +38,15 @@ class ValidationError(ParseError):
 
 class DuplicateEdgeError(ValueError):
     """Two ratings of the same (user, item) pair."""
+
+
+@contextlib.contextmanager
+def holding(path: str, what: str):
+    """Report a file that does not parse as ``what`` as a data error naming it."""
+    try:
+        yield
+    except ValueError as exc:  # bad JSON or UTF-8; an empty, truncated or foreign .npy file
+        raise ValueError(f"{path}: not {what} ({exc})") from None
 
 
 @dataclass(frozen=True)
@@ -200,7 +210,7 @@ def parse_ratings(path, format: str = "tsv") -> Ratings:
         raise ValueError(f"unknown format {format!r}")
     sep = _SEPARATORS[format]
     path = os.fspath(path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh, holding(path, "UTF-8 text"):
         text = fh.read()
     lines = _lines(text)
     n = len(lines)
@@ -358,7 +368,7 @@ def read_fold_manifests(directory, k: int) -> list:
     users, items, rating, timestamp, sizes = [], [], [], [], []
     for fold_index in range(k):
         path = os.path.join(directory, f"fold{fold_index}.tsv")
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh, holding(path, "UTF-8 text"):
             lines = _lines(fh.read())
         n = len(lines)
         try:
@@ -406,13 +416,11 @@ def read_node_index(directory, min_interactions: int) -> DatasetDescriptor:
     """
     path = os.path.join(directory, NODE_INDEX)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh, holding(path, "a node index"):
             index = json.load(fh)
     except FileNotFoundError:
         raise FileNotFoundError(f"{path} is missing; run signrec split --force to write "
                                 "the manifests and their node index") from None
-    except ValueError as exc:  # bad JSON or UTF-8
-        raise ValueError(f"{path}: not a node index ({exc})") from None
     if not (isinstance(index, dict) and sorted(index) == ["items", "min_interactions", "users"]
             and type(index["min_interactions"]) is int
             and all(isinstance(ids, list) and all(type(i) is str for i in ids)

@@ -246,15 +246,13 @@ def test_train_evaluate_cycle(dataset_path, tmp_path):
     assert os.path.isfile(os.path.join(run_path, "reports", "metrics.csv"))
 
 
-def test_checkpoints_rebuild_embeddings_and_resume_points(dataset_path, tmp_path):
+def test_final_checkpoint_rebuilds_embeddings(dataset_path, tmp_path):
     out = str(tmp_path / "runs")
     assert main(["split"] + base_args(dataset_path, out)) == EXIT_OK
-    args = train_args(dataset_path, out, epochs=3, **{"checkpoint-every": 1})
-    assert main(args) == EXIT_OK
+    assert main(train_args(dataset_path, out)) == EXIT_OK
     run_path = os.path.join(out, next(p for p in os.listdir(out) if "mlp-gn" in p))
     ckpt_dir = os.path.join(run_path, "checkpoints")
-    assert sorted(os.listdir(ckpt_dir)) == ["epoch0.npz", "epoch1.npz", "epoch2.npz",
-                                            "final.npz"]
+    assert os.listdir(ckpt_dir) == ["final.npz"]
 
     # final.npz plus the run's config rebuilds embeddings.npy exactly
     config = json.load(open(os.path.join(run_path, "config")))
@@ -266,17 +264,6 @@ def test_checkpoints_rebuild_embeddings_and_resume_points(dataset_path, tmp_path
     z, *_ = forward_tensors(AdjacencySet.build(g, cfg),
                             load_checkpoint(os.path.join(ckpt_dir, "final.npz")), cfg)
     assert z.value.tobytes() == np.load(os.path.join(run_path, "embeddings.npy")).tobytes()
-
-    # the last epoch's checkpoint is the final one, and the first epoch's is
-    # the final one of a one-epoch run
-    def read(name):
-        return open(os.path.join(ckpt_dir, name), "rb").read()
-
-    final, epoch0 = read("final.npz"), read("epoch0.npz")
-    assert read("epoch2.npz") == final
-    assert epoch0 != final
-    assert main(train_args(dataset_path, out, epochs=1)) == EXIT_OK
-    assert read("final.npz") == epoch0
 
 
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -380,6 +367,29 @@ def test_bad_dataset_row_names_file_and_line(tmp_path, capsys, rating):
     assert f"{path}: line 2:" in capsys.readouterr().err
 
 
+def test_dataset_not_utf8_is_data_error_naming_it(tmp_path, capsys):
+    path = tmp_path / "latin.tsv"
+    path.write_bytes(b"1\t1\t4\t0\n2\tcaf\xe9\t3\t0\n")
+    assert main(["split", "--dataset", str(path), "--folds", "2",
+                 "--out", str(tmp_path / "runs")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}: not UTF-8 text ("), err
+
+
+def test_manifest_not_utf8_is_data_error_naming_it(dataset_path, tmp_path, capsys):
+    out = tmp_path / "runs"
+    assert main(["split"] + base_args(dataset_path, str(out))) == EXIT_OK
+    manifest = next(p for p in out.iterdir() if "folds" in p.name) / "fold1.tsv"
+    manifest.write_bytes(manifest.read_bytes().replace(b"\t", b"\xe9\t", 1))
+    capsys.readouterr()
+    for args in (train_args(dataset_path, str(out)),
+                 ["evaluate"] + base_args(dataset_path, str(out)) + ["--run", str(tmp_path)]):
+        assert main(args) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {manifest}: not UTF-8 text ("), err
+    assert [p.name for p in out.iterdir()] == [manifest.parent.name]
+
+
 def test_variant_tags_run_directory(dataset_path, tmp_path):
     out = str(tmp_path / "runs")
     assert main(["split"] + base_args(dataset_path, out)) == EXIT_OK
@@ -455,6 +465,25 @@ def test_config_file_positive_only(dataset_path, tmp_path):
     assert config["training"]["positive_edges_only"] is True
 
 
+@pytest.mark.parametrize("variant", ["no-split", "gnn-gn"])
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_positive_only_without_a_negative_path_is_usage_error(dataset_path, tmp_path, capsys,
+                                                              variant, source):
+    out = tmp_path / "runs"
+    assert main(["split"] + base_args(dataset_path, str(out))) == EXIT_OK
+    if source == "flags":
+        args = train_args(dataset_path, str(out), variant=variant) + ["--positive-only"]
+    else:
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(f"variant = {variant}\npositive-only = true\n")
+        args = ["--config", str(cfg_file)] + train_args(dataset_path, str(out))
+    capsys.readouterr()
+    assert main(args) == EXIT_USAGE
+    assert f"--positive-only leaves no negative edge for --variant {variant}" in \
+        capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["toy-folds-k3-seed11"]
+
+
 def test_config_file_threads_reach_thread_limit(dataset_path, tmp_path, monkeypatch):
     from signrec import cli
     limits = []
@@ -480,7 +509,7 @@ def test_config_file_unknown_key_or_bad_value_is_usage_error(dataset_path, tmp_p
     ["--fold", "-1"], ["--fold", "3"], ["--epochs", "0"], ["--batch-size", "0"],
     ["--n-neg", "0"], ["--c", "0.5"], ["--dim", "0"], ["--k", "0"],
     ["--lr", "-1"], ["--lr", "0"], ["--lr", "nan"], ["--lr", "inf"], ["--lambda-reg", "-1"],
-    ["--w-o", "9"], ["--w-o", "5"], ["--w-o", "1"], ["--w-o", "0"], ["--checkpoint-every", "-1"],
+    ["--w-o", "9"], ["--w-o", "5"], ["--w-o", "1"], ["--w-o", "0"], ["--checkpoint-every", "1"],
     ["--min-interactions", "-1"], ["--c", "nan"], ["--c", "inf"],
 ])
 def test_flags_that_cannot_work_are_usage_errors(dataset_path, tmp_path, flags):

@@ -627,6 +627,26 @@ def test_training_is_deterministic():
     assert np.array_equal(a.embeddings, b.embeddings)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_shorter_run_is_a_prefix_of_a_longer_one(variant):
+    """Every parameter after epoch e of a run equals the final one of an (e+1)-epoch
+    run: each epoch draws from its own substreams, so a run's length changes none of
+    its earlier epochs."""
+    g = planted_toy_graph()
+
+    def params(state):
+        return {name: state[name].value.tobytes() for name in state.names()}
+
+    after = {}
+    cfg, tcfg = toy_configs(epochs=4, variant=variant)
+    train(g, cfg, tcfg, epoch_callback=lambda entry, state: after.update(
+        {entry.epoch: params(state)}))
+    for epoch in (0, 2):
+        tcfg.epochs = epoch + 1
+        assert params(train(g, cfg, tcfg).state) == after[epoch], epoch
+    assert after[0] != after[2]
+
+
 def test_resampling_differs_across_epochs():
     g = planted_toy_graph()
     t0 = sample_negatives(NegativeSampler(g, 2), substream(1, "sampling", 0))
