@@ -53,140 +53,125 @@ class ExperimentConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     training: TrainConfig = field(default_factory=TrainConfig)
 
+    def __post_init__(self):
+        self.ks = tuple(sorted(self.ks))
+        if not self.ks or self.ks[0] < 1:
+            raise ValueError("--k must be >= 1")
+        # a threshold at or beyond the rating scale's ends makes every edge one sign
+        lo, hi = data_mod.RATING_SCALE
+        if not lo < self.w_o < hi:
+            raise ValueError("--w-o must lie strictly between 1 and 5")
+        if self.format not in data_mod.FORMATS:
+            raise ValueError(f"--format must be one of {', '.join(data_mod.FORMATS)}")
+        if self.k_folds < 2:
+            raise ValueError("--folds must be >= 2")
+        if self.min_interactions < 0:
+            raise ValueError("--min-interactions must be >= 0")
+        if self.threads < 1:
+            raise ValueError("--threads must be >= 1")
+
+
+_ALL, _TRAIN = ("split", "train", "evaluate"), ("train",)
+# Every flag that configures a run: argparse dest -> (the commands that take it,
+# the config object and field it sets, its add_argument options). A --config
+# file key is a dest, and its value is read with the flag's own type.
+FLAGS = {
+    "dataset": (_ALL, "experiment", "dataset", {}),
+    "min_interactions": (_ALL, "experiment", "min_interactions", dict(type=int)),
+    "folds": (_ALL, "experiment", "k_folds", dict(type=int)),
+    "seed": (_ALL, "experiment", "seed", dict(type=int)),
+    "threads": (_ALL, "experiment", "threads", dict(type=int)),
+    "out": (_ALL, "experiment", "out", {}),
+    "format": (("split",), "experiment", "format", dict(choices=data_mod.FORMATS)),
+    "w_o": (_TRAIN, "experiment", "w_o", dict(type=float)),
+    "backbone": (_TRAIN, "model", "backbone", dict(choices=BACKBONES)),
+    "variant": (_TRAIN, "model", "variant", dict(choices=VARIANTS)),
+    "loss": (_TRAIN, "training", "loss", dict(choices=LOSSES)),
+    "positive_only": (_TRAIN, "training", "positive_edges_only", dict(
+        action="store_true", default=None, help="train on positive edges only (baseline mode)")),
+    "layers": (_TRAIN, "model", "gnn_layers", dict(type=int, help="GNN layer count")),
+    "dim": (_TRAIN, "model", "dim", dict(type=int)),
+    "n_neg": (_TRAIN, "training", "n_neg", dict(type=int)),
+    "c": (_TRAIN, "training", "c", dict(type=float)),
+    "lambda_reg": (_TRAIN, "training", "lambda_reg", dict(type=float)),
+    "lr": (_TRAIN, "training", "learning_rate", dict(type=float)),
+    "batch_size": (_TRAIN, "training", "batch_size", dict(type=int)),
+    "epochs": (_TRAIN, "training", "epochs", dict(type=int)),
+    "k": (("evaluate",), "experiment", "ks", dict(type=int, action="append")),
+}
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
 
 def read_config_file(path: str) -> dict:
-    """Flat key=value file mirroring the flags; '#' starts a comment."""
+    """Flat key=value file mirroring the flags, each set once; '#' starts a comment."""
+    with open(path, "r", encoding="utf-8") as fh, data_mod.holding(path, "UTF-8 text"):
+        lines = fh.readlines()
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"bad config line: {line!r}")
-            key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
+    for line in lines:
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"bad config line: {line!r}")
+        key, value = line.split("=", 1)
+        key = key.strip().replace("-", "_")
+        if key in values:
+            raise UsageError(f"config key {key} is set twice")
+        values[key] = value.strip()
     return values
+
+
+def _read_value(name: str, raw: str):
+    """A config-file value, read as flag ``name`` reads it (a comma list if it repeats)."""
+    options = FLAGS[name][3]
+    if options.get("action") == "store_true":
+        return _BOOLEANS[raw.lower()]
+    cast = options.get("type", str)
+    return [cast(v) for v in raw.split(",")] if options.get("action") == "append" else cast(raw)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="signrec", description=__doc__)
     parser.add_argument("--config", help="flat key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--dataset")
-        p.add_argument("--min-interactions", type=int)
-        p.add_argument("--folds", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--threads", type=int)
-        p.add_argument("--out")
-
-    p_split = sub.add_parser("split", help="materialize fold manifests")
-    common(p_split)
-    p_split.add_argument("--format", choices=data_mod.FORMATS)
-    p_split.add_argument("--force", action="store_true")
-
-    p_train = sub.add_parser("train", help="train one fold")
-    common(p_train)
-    p_train.add_argument("--fold", type=int, default=0)
-    p_train.add_argument("--w-o", type=float)
-    p_train.add_argument("--backbone", choices=BACKBONES)
-    p_train.add_argument("--variant", choices=VARIANTS)
-    p_train.add_argument("--loss", choices=LOSSES)
-    p_train.add_argument("--positive-only", action="store_true", default=None,
-                         help="train on positive edges only (baseline mode)")
-    p_train.add_argument("--layers", type=int, help="GNN layer count")
-    p_train.add_argument("--dim", type=int)
-    p_train.add_argument("--n-neg", type=int)
-    p_train.add_argument("--c", type=float)
-    p_train.add_argument("--lambda-reg", type=float)
-    p_train.add_argument("--lr", type=float)
-    p_train.add_argument("--batch-size", type=int)
-    p_train.add_argument("--epochs", type=int)
-
-    p_eval = sub.add_parser("evaluate", help="evaluate trained folds")
-    common(p_eval)
-    p_eval.add_argument("--run", action="append", required=True,
-                        help="run directory (repeat to aggregate across folds)")
-    p_eval.add_argument("--k", type=int, action="append")
-    p_eval.add_argument("--groups", action="store_true",
-                        help="report per interaction-sparsity group")
-
+    commands = {"split": sub.add_parser("split", help="materialize fold manifests"),
+                "train": sub.add_parser("train", help="train one fold"),
+                "evaluate": sub.add_parser("evaluate", help="evaluate trained folds")}
+    for name, (takers, _, _, options) in FLAGS.items():
+        for command in takers:
+            commands[command].add_argument("--" + name.replace("_", "-"), **options)
+    commands["split"].add_argument("--force", action="store_true")
+    commands["train"].add_argument("--fold", type=int, default=0)
+    commands["evaluate"].add_argument("--run", action="append", required=True,
+                                      help="run directory (repeat to aggregate across folds)")
+    commands["evaluate"].add_argument("--groups", action="store_true",
+                                      help="report per interaction-sparsity group")
     sub.add_parser("diagnose", help="run built-in numerical self checks")
     return parser
 
 
-_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-
-
-def _int_list(raw: str) -> list:
-    return [int(v) for v in raw.split(",")]
-
-
-# The fields of each config object that flags set: field -> (flag name, parser
-# of a config-file value). A field that no flag or config-file key sets keeps
-# its dataclass default.
-_EXPERIMENT_FLAGS = {
-    "dataset": ("dataset", str), "format": ("format", str), "w_o": ("w_o", float),
-    "min_interactions": ("min_interactions", int), "k_folds": ("folds", int),
-    "seed": ("seed", int), "threads": ("threads", int), "out": ("out", str),
-    "ks": ("k", _int_list),
-}
-_MODEL_FLAGS = {
-    "backbone": ("backbone", str), "variant": ("variant", str), "dim": ("dim", int),
-    "gnn_layers": ("layers", int),
-}
-_TRAINING_FLAGS = {
-    "n_neg": ("n_neg", int), "c": ("c", float), "lambda_reg": ("lambda_reg", float),
-    "learning_rate": ("lr", float), "batch_size": ("batch_size", int),
-    "epochs": ("epochs", int), "loss": ("loss", str),
-    "positive_edges_only": ("positive_only", bool),
-}
-# Keys a --config file may set: the names of the flags it stands in for.
-CONFIG_KEYS = frozenset(name for flags in (_EXPERIMENT_FLAGS, _MODEL_FLAGS, _TRAINING_FLAGS)
-                        for name, _ in flags.values())
-
-
 def _merge_config(args) -> ExperimentConfig:
     file_values = read_config_file(args.config) if getattr(args, "config", None) else {}
-    unknown = sorted(set(file_values) - CONFIG_KEYS)
+    unknown = sorted(set(file_values) - FLAGS.keys())
     if unknown:
         raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
-
-    def given(flags) -> dict:
-        """The fields in ``flags`` that a flag or the config file sets."""
-        values = {}
-        for field_name, (name, cast) in flags.items():
-            flag = getattr(args, name, None)
-            if flag is not None:
-                values[field_name] = flag
-            elif name in file_values:
-                raw = file_values[name]
-                try:
-                    values[field_name] = _BOOLEANS[raw.lower()] if cast is bool else cast(raw)
-                except (KeyError, ValueError):
-                    raise UsageError(f"config key {name}: bad value {raw!r}") from None
-        return values
-
-    cfg = ExperimentConfig(**given(_EXPERIMENT_FLAGS))
-    cfg.ks = tuple(sorted(cfg.ks))
-    if cfg.ks[0] < 1:
-        raise UsageError("--k must be >= 1")
-    # a threshold at or beyond the rating scale's ends makes every training
-    # edge one sign
-    lo, hi = data_mod.RATING_SCALE
-    if not lo < cfg.w_o < hi:
-        raise UsageError("--w-o must lie strictly between 1 and 5")
-    if cfg.format not in data_mod.FORMATS:
-        raise UsageError(f"--format must be one of {', '.join(data_mod.FORMATS)}")
-    if cfg.min_interactions < 0:
-        raise UsageError("--min-interactions must be >= 0")
-
-    try:
-        cfg.model = ModelConfig(**given(_MODEL_FLAGS))
-        cfg.training = TrainConfig(seed=cfg.seed, **given(_TRAINING_FLAGS))
-    except ValueError as exc:  # a config object's check, or a bad config-file value
+    # a field that neither a flag nor the file sets keeps its dataclass default
+    fields = {"experiment": {}, "model": {}, "training": {}}
+    for name, (_, target, field_name, _) in FLAGS.items():
+        value = getattr(args, name, None)
+        if value is None and name in file_values:
+            raw = file_values[name]
+            try:
+                value = _read_value(name, raw)
+            except (KeyError, ValueError):
+                raise UsageError(f"config key {name}: bad value {raw!r}") from None
+        if value is not None:
+            fields[target][field_name] = value
+    try:  # each config object checks its own values
+        cfg = ExperimentConfig(**fields["experiment"])
+        cfg.model = ModelConfig(**fields["model"])
+        cfg.training = TrainConfig(seed=cfg.seed, **fields["training"])
+    except ValueError as exc:
         raise UsageError(str(exc)) from None
     # with no negative edge, no-split is no-gn and gnn-gn's second GNN sees an empty graph
     if cfg.training.positive_edges_only and cfg.model.variant in ("no-split", "gnn-gn"):
@@ -390,18 +375,9 @@ def main(argv=None) -> int:
         if args.command == "diagnose":
             return cmd_diagnose()
         cfg = _merge_config(args)
-        if cfg.threads < 1:
-            raise UsageError("--threads must be >= 1")
         _set_threads(cfg.threads)
-        if args.command == "split":
-            if cfg.k_folds < 2:
-                raise UsageError("--folds must be >= 2")
-            return cmd_split(args, cfg)
-        if args.command == "train":
-            return cmd_train(args, cfg)
-        if args.command == "evaluate":
-            return cmd_evaluate(args, cfg)
-        return EXIT_USAGE
+        command = {"split": cmd_split, "train": cmd_train, "evaluate": cmd_evaluate}
+        return command[args.command](args, cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,8 +9,8 @@ import pytest
 
 import signrec
 from signrec.cli import (
-    EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, ExperimentConfig, main, read_config_file,
-    run_dir_name,
+    EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, ExperimentConfig, build_parser, main,
+    read_config_file, run_dir_name,
 )
 from signrec.data import (
     Ratings, build_descriptor, filter_min_interactions, parse_ratings, read_fold_manifests,
@@ -507,19 +507,102 @@ def test_config_file_unknown_key_or_bad_value_is_usage_error(dataset_path, tmp_p
 
 @pytest.mark.parametrize("flags", [
     ["--fold", "-1"], ["--fold", "3"], ["--epochs", "0"], ["--batch-size", "0"],
-    ["--n-neg", "0"], ["--c", "0.5"], ["--dim", "0"], ["--k", "0"],
+    ["--n-neg", "0"], ["--c", "0.5"], ["--dim", "0"], ["evaluate", "--k", "0"],
     ["--lr", "-1"], ["--lr", "0"], ["--lr", "nan"], ["--lr", "inf"], ["--lambda-reg", "-1"],
     ["--w-o", "9"], ["--w-o", "5"], ["--w-o", "1"], ["--w-o", "0"], ["--checkpoint-every", "1"],
     ["--min-interactions", "-1"], ["--c", "nan"], ["--c", "inf"],
+    ["--folds", "1"], ["evaluate", "--folds", "1"],
 ])
 def test_flags_that_cannot_work_are_usage_errors(dataset_path, tmp_path, flags):
+    # a case that starts with "evaluate" runs evaluate, every other one train
     out = str(tmp_path / "runs")
     assert main(["split"] + base_args(dataset_path, out)) == EXIT_OK
-    if flags[0] == "--k":
-        args = ["evaluate"] + base_args(dataset_path, out) + ["--run", out]
+    if flags[0] == "evaluate":
+        args, flags = ["evaluate"] + base_args(dataset_path, out) + ["--run", out], flags[1:]
     else:
         args = train_args(dataset_path, out)
     assert main(args + flags) == EXIT_USAGE
+
+
+def test_config_file_sets_every_key_at_its_field(tmp_path, dataset_path, monkeypatch, capsys):
+    from signrec import cli
+    limits = []
+    monkeypatch.setattr(cli, "_set_threads", limits.append)
+    dat = tmp_path / "toy.dat"
+    dat.write_text(open(dataset_path).read().replace("\t", "::"))
+    out = tmp_path / "runs"
+    cfg_file = tmp_path / "exp.cfg"
+    # every key at a value other than its default, written with '-' and '_' alike
+    cfg_file.write_text(
+        f"dataset = {dat}\nformat = movielens-dat\nmin-interactions = 1\nfolds = 3\n"
+        f"seed = 11\nthreads = 2\nout = {out}\nw_o = 3.0\nbackbone = ngcf\n"
+        "variant = no-gn\nloss = standard-bpr\npositive_only = yes\nlayers = 2\n"
+        "dim = 8\nn_neg = 3\nc = 2.5\nlambda-reg = 0.02\nlr = 0.01\nbatch_size = 64\n"
+        "epochs = 2\nk = 10,3\n")
+    assert main(["--config", str(cfg_file), "split"]) == EXIT_OK
+    assert main(["--config", str(cfg_file), "train"]) == EXIT_OK
+    run_dir = out / "toy-ngcf-no-gn-posonly-fold0-seed11"
+    config = json.load(open(run_dir / "config"))
+    assert {key: config[key] for key in ("dataset", "format", "min_interactions", "k_folds",
+                                         "seed", "threads", "out", "w_o", "ks")} == {
+        "dataset": str(dat), "format": "movielens-dat", "min_interactions": 1, "k_folds": 3,
+        "seed": 11, "threads": 2, "out": str(out), "w_o": 3.0, "ks": [3, 10]}
+    assert {key: config["model"][key] for key in ("backbone", "variant", "gnn_layers",
+                                                  "dim")} == {
+        "backbone": "ngcf", "variant": "no-gn", "gnn_layers": 2, "dim": 8}
+    assert {key: config["training"][key] for key in (
+        "loss", "positive_edges_only", "n_neg", "c", "lambda_reg", "learning_rate",
+        "batch_size", "epochs")} == {
+        "loss": "standard-bpr", "positive_edges_only": True, "n_neg": 3, "c": 2.5,
+        "lambda_reg": 0.02, "learning_rate": 0.01, "batch_size": 64, "epochs": 2}
+    capsys.readouterr()
+    assert main(["--config", str(cfg_file), "evaluate", "--run", str(run_dir)]) == EXIT_OK
+    assert [line.split()[0] for line in capsys.readouterr().out.splitlines()[3:]] == ["3", "10"]
+    assert limits == [2, 2, 2]
+
+
+def _option_strings(parser) -> list:
+    return sorted(s for action in parser._actions for s in action.option_strings)
+
+
+def test_each_command_takes_exactly_its_flags():
+    split_train_evaluate = ["--dataset", "--folds", "--min-interactions", "--out", "--seed",
+                            "--threads"]
+    expected = {
+        "split": ["--force", "--format"],
+        "train": ["--backbone", "--batch-size", "--c", "--dim", "--epochs", "--fold",
+                  "--lambda-reg", "--layers", "--loss", "--lr", "--n-neg", "--positive-only",
+                  "--variant", "--w-o"],
+        "evaluate": ["--groups", "--k", "--run"],
+    }
+    parser = build_parser()
+    assert _option_strings(parser) == ["--config", "--help", "-h"]
+    commands = parser._subparsers._group_actions[0].choices
+    assert list(commands) == ["split", "train", "evaluate", "diagnose"]
+    assert _option_strings(commands["diagnose"]) == ["--help", "-h"]
+    for name, own in expected.items():
+        assert _option_strings(commands[name]) == sorted(
+            split_train_evaluate + own + ["--help", "-h"]), name
+
+
+def test_config_file_not_utf8_is_data_error_naming_it(dataset_path, tmp_path, capsys):
+    cfg_file = tmp_path / "latin.cfg"
+    cfg_file.write_bytes(f"dataset = {dataset_path}\nout = {tmp_path / 'runs'}\n"
+                         "# caf\xe9\n".encode("latin-1"))
+    assert main(["--config", str(cfg_file), "split"]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith(f"data error: {cfg_file}: not UTF-8 text")
+    assert not os.path.exists(tmp_path / "runs")
+
+
+@pytest.mark.parametrize("lines, key", [
+    ("seed = 1\nseed = 2", "seed"), ("n-neg = 3\nn_neg = 4", "n_neg")])
+def test_config_file_repeated_key_is_usage_error_naming_it(dataset_path, tmp_path, capsys,
+                                                          lines, key):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(f"dataset = {dataset_path}\nout = {tmp_path / 'runs'}\n{lines}\n")
+    assert main(["--config", str(cfg_file), "split"]) == EXIT_USAGE
+    assert f"config key {key} is set twice" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "runs")
 
 
 def test_evaluate_rejects_non_finite_embeddings(dataset_path, tmp_path, capsys):
