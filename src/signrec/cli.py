@@ -103,13 +103,17 @@ _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "
 
 
 def read_config_file(path: str) -> dict:
-    """Flat key=value file mirroring the flags, each set once; '#' starts a comment."""
+    """Flat key=value file mirroring the flags, each set once.
+
+    A line whose first non-blank character is '#' is a comment; anywhere
+    else '#' is part of the line, so a value may hold one.
+    """
     with open(path, "r", encoding="utf-8") as fh, data_mod.holding(path, "UTF-8 text"):
         lines = fh.readlines()
     values = {}
     for line in lines:
-        line = line.split("#", 1)[0].strip()
-        if not line:
+        line = line.strip()
+        if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise UsageError(f"bad config line: {line!r}")

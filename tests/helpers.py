@@ -515,7 +515,8 @@ def reference_topk(Z, num_users, users, k, exclude):
     scores = Z[list(users)] @ Z[num_users:].T
     recs = np.full((len(users), k), -1, dtype=np.int64)
     for row, user in enumerate(users):
-        candidates = [v for v in range(scores.shape[1]) if v not in exclude.get(user, ())]
+        skip = {int(v) for v in exclude.get(user, ())}
+        candidates = [v for v in range(scores.shape[1]) if v not in skip]
         ranked = sorted(candidates, key=lambda v: (-scores[row, v], v))[:k]
         recs[row, :len(ranked)] = ranked
     return recs

@@ -59,10 +59,9 @@ def test_criterion_02_metrics_match_brute_force_oracle():
         k = int(rng.integers(1, 6))
         truth, exclude = {}, {}
         for u in range(num_users):
-            truth[u] = set(rng.choice(num_items, int(rng.integers(1, 4)),
-                                      replace=False).tolist())
-            exclude[u] = set(rng.choice(num_items, int(rng.integers(0, 3)),
-                                        replace=False).tolist()) - truth[u]
+            truth[u] = rng.choice(num_items, int(rng.integers(1, 4)), replace=False)
+            exclude[u] = np.setdiff1d(rng.choice(num_items, int(rng.integers(0, 3)),
+                                                 replace=False), truth[u])
         report = evaluate(Z, num_users, truth, exclude, ks=[k])
         oracle = np.array([brute_force_metrics(Z, num_users, u, truth[u],
                                                exclude[u], k)

@@ -42,7 +42,7 @@ def traced_training(tracing, cfg):
     tracer = tracing.Tracer("test")
     with tracer.installed():
         result = train.train(g, cfg, tcfg)
-        truth = {u: {int(v) for v in g.items[g.users == u][:2]} for u in range(3)}
+        truth = {u: g.items[g.users == u][:2] for u in range(3)}
         evaluate.evaluate(result.embeddings, g.num_users, truth, {}, (5,))
     return tracer
 

@@ -585,6 +585,17 @@ def test_each_command_takes_exactly_its_flags():
             split_train_evaluate + own + ["--help", "-h"]), name
 
 
+def test_config_file_value_may_hold_a_hash(dataset_path, tmp_path):
+    # only a line whose first non-blank character is '#' is a comment
+    out = tmp_path / "runs#2"
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(f"# split settings\ndataset = {dataset_path}\n  # folds = 7\n"
+                        f"folds = 3\nout = {out}\n")
+    assert main(["--config", str(cfg_file), "split"]) == EXIT_OK
+    assert sorted(os.listdir(tmp_path)) == ["exp.cfg", "runs#2"]
+    assert sorted(os.listdir(out / "toy-folds-k3-seed0")) \
+        == ["fold0.tsv", "fold1.tsv", "fold2.tsv", "nodes.json"]
+
 def test_config_file_not_utf8_is_data_error_naming_it(dataset_path, tmp_path, capsys):
     cfg_file = tmp_path / "latin.cfg"
     cfg_file.write_bytes(f"dataset = {dataset_path}\nout = {tmp_path / 'runs'}\n"

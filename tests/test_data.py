@@ -270,11 +270,15 @@ def test_columns_match_the_record_path(file, threshold, k, seed):
                     a, b = getattr(g, name), getattr(ref_g, name)
                     assert np.asarray(a).dtype == np.asarray(b).dtype
                     assert np.array_equal(a, b)
-            # dict equality ignores order: compare the items in order
-            assert list(ground_truth(fold.test, desc).items()) \
-                == list(helpers.reference_ground_truth(ref_fold.test, desc).items())
-            assert list(train_interactions(fold.train, desc).items()) \
-                == list(helpers.reference_train_interactions(ref_fold.train, desc).items())
+            # users in order; each user's items an int64 array of the set's items, ascending
+            for fn, ref, new_rows, ref_rows in (
+                    (ground_truth, helpers.reference_ground_truth, fold.test, ref_fold.test),
+                    (train_interactions, helpers.reference_train_interactions, fold.train,
+                     ref_fold.train)):
+                got = fn(new_rows, desc)
+                assert all(items.dtype == np.int64 for items in got.values())
+                assert [(u, items.tolist()) for u, items in got.items()] \
+                    == [(u, sorted(items)) for u, items in ref(ref_rows, desc).items()]
 
 
 @pytest.mark.parametrize("text", [
