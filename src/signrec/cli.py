@@ -226,16 +226,6 @@ def _check_same_split(run_dir: str, run_cfg: dict, cfg: ExperimentConfig) -> Non
 
 
 @contextlib.contextmanager
-def _manifest_ids(directory: str):
-    """Report an id of the manifests that the node index lacks as a data error."""
-    try:
-        yield
-    except KeyError as exc:
-        raise ValueError(f"{directory}: the manifests name {exc.args[0]!r}, which its "
-                         f"{data_mod.NODE_INDEX} does not hold; split it again") from None
-
-
-@contextlib.contextmanager
 def _removed_on_failure(*paths: str):
     """If the block raises, remove those of ``paths`` that did not exist before it.
 
@@ -260,9 +250,8 @@ def cmd_split(args, cfg: ExperimentConfig) -> int:
         records = data_mod.filter_min_interactions(records, cfg.min_interactions)
     data_mod.reject_repeated_pairs(records, records.users, records.items)
     folds = data_mod.kfold_split(records, cfg.k_folds, cfg.seed)
-    paths = data_mod.write_fold_manifests(folds, directory, force=args.force)
-    data_mod.write_node_index(directory, data_mod.build_descriptor(records),
-                              cfg.min_interactions)
+    paths = data_mod.write_fold_manifests(folds, directory, data_mod.build_descriptor(records),
+                                          cfg.min_interactions, force=args.force)
     print(f"wrote {len(paths)} fold manifests to {directory}")
     return EXIT_OK
 
@@ -279,12 +268,12 @@ def cmd_train(args, cfg: ExperimentConfig) -> int:
     if not 0 <= args.fold < cfg.k_folds:
         raise UsageError(f"--fold must lie in [0, {cfg.k_folds})")
     directory = _manifest_dir(cfg)
-    folds = data_mod.read_fold_manifests(directory, cfg.k_folds)
-    descriptor = data_mod.read_node_index(directory, cfg.min_interactions)
-    fold = folds[args.fold]
-
-    with _manifest_ids(directory):
-        g = build_signed_graph(fold.train, descriptor, cfg.w_o)
+    folds, descriptor = data_mod.read_fold_manifests(directory, cfg.k_folds, cfg.min_interactions)
+    g = build_signed_graph(folds[args.fold].train, descriptor, cfg.w_o)
+    positive = cfg.training.positive_edges_only
+    if not (g.weights > 0 if positive else g.weights).any():
+        raise ValueError(f"{directory}: the training ratings of fold {args.fold} make no "
+                         f"{'positive' if positive else 'signed'} edge at --w-o {cfg.w_o}")
     run_dir = run_dir_name(cfg, args.fold)
     subs = [os.path.join(run_dir, sub) for sub in ("checkpoints", "logs", "reports")]
     # a failed training leaves nothing it made, and every file it found
@@ -310,9 +299,7 @@ def cmd_train(args, cfg: ExperimentConfig) -> int:
 
 def cmd_evaluate(args, cfg: ExperimentConfig) -> int:
     directory = _manifest_dir(cfg)
-    folds = data_mod.read_fold_manifests(directory, cfg.k_folds)
-    descriptor = data_mod.read_node_index(directory, cfg.min_interactions)
-
+    folds, descriptor = data_mod.read_fold_manifests(directory, cfg.k_folds, cfg.min_interactions)
     reports = []
     for run_dir in args.run:
         config_path, emb_path = (os.path.join(run_dir, f) for f in ("config", "embeddings.npy"))
@@ -337,9 +324,8 @@ def cmd_evaluate(args, cfg: ExperimentConfig) -> int:
         if embeddings.ndim != 2 or embeddings.shape[0] != nodes:
             raise ValueError(f"{emb_path}: a {embeddings.shape} array, not {nodes} rows "
                              "(the dataset's users and items) of embeddings")
-        with _manifest_ids(directory):
-            truth = eval_mod.ground_truth(fold.test, descriptor)
-            exclude = eval_mod.train_interactions(fold.train, descriptor)
+        truth = eval_mod.ground_truth(fold.test, descriptor)
+        exclude = eval_mod.train_interactions(fold.train, descriptor)
         try:
             report = eval_mod.evaluate(embeddings, descriptor.num_users, truth, exclude,
                                        cfg.ks, groups=args.groups)

@@ -1,5 +1,5 @@
 """Rating file parsing, interaction-count filtering, k-fold splitting, and the
-manifest directory a split writes: fold manifests and a node index.
+split directory, which ``write_fold_manifests`` writes and ``read_fold_manifests`` checks.
 
 Ratings travel as columns (:class:`Ratings`) from the parse to evaluation:
 integer codes into the user- and item-id lists, the rating and the
@@ -313,18 +313,21 @@ def kfold_split(ratings: Ratings, k: int, seed: int) -> list:
     return folds
 
 
-def write_fold_manifests(folds, directory, force: bool = False) -> list:
-    """Write one TSV manifest per fold holding that fold's test ratings.
+def write_fold_manifests(folds, directory, descriptor: DatasetDescriptor,
+                         min_interactions: int, force: bool = False) -> list:
+    """Write a split to ``directory``: one TSV manifest per fold, then the node index.
 
-    Columns: ``fold  user  item  rating  timestamp``. The train set of fold i
-    is the union of every other fold's manifest. Without ``force``, an
-    existing manifest or node index (:func:`write_node_index`) refuses the
-    split before any file is written.
+    Manifest i holds fold i's test ratings in columns ``fold  user  item
+    rating  timestamp``; fold i's train set is the other manifests' lines.
+    ``nodes.json`` is a JSON object of ``descriptor``'s user and item ids,
+    each in embedding-row order, and the ``min_interactions`` that the split
+    applied. Without ``force``, an existing manifest or node index refuses
+    the split before any file is written.
     """
     os.makedirs(directory, exist_ok=True)
     paths = [os.path.join(directory, f"fold{fold.fold_index}.tsv") for fold in folds]
-    existing = [path for path in paths + [os.path.join(directory, NODE_INDEX)]
-                if os.path.exists(path)]
+    index_path = os.path.join(directory, NODE_INDEX)
+    existing = [path for path in paths + [index_path] if os.path.exists(path)]
     if existing and not force:
         raise FileExistsError(f"{existing[0]} exists; pass force to overwrite")
     for fold, path in zip(folds, paths):
@@ -337,10 +340,17 @@ def write_fold_manifests(folds, directory, force: bool = False) -> list:
                               map(test.item_ids.__getitem__, test.items.tolist()),
                               map(formatted.__getitem__, ratings),
                               test.timestamp.tolist()))
+    # json.dumps runs the C encoder; json.dump into a file runs the Python one
+    text = json.dumps({"min_interactions": min_interactions,
+                       "users": sorted(descriptor.user_index, key=descriptor.user_index.get),
+                       "items": sorted(descriptor.item_index, key=descriptor.item_index.get)})
+    with open(index_path, "w", encoding="utf-8") as fh:
+        fh.write(text)
     return paths
 
 
-def _raise_first_bad_manifest_line(lines: list, path: str, fold_index: int) -> None:
+def _raise_first_bad_manifest_line(lines: list, path: str, fold_index: int,
+                                   descriptor: DatasetDescriptor) -> None:
     for line_no, line in enumerate(lines, start=1):
         parts = line.split("\t")
         if len(parts) != 5:
@@ -352,68 +362,25 @@ def _raise_first_bad_manifest_line(lines: list, path: str, fold_index: int) -> N
         if parts[0] != str(fold_index):
             raise ParseError(f"fold column {parts[0]!r} in the manifest of fold {fold_index}",
                              line_no, path)
+        for kind, name, index in (("user", parts[1], descriptor.user_index),
+                                  ("item", parts[2], descriptor.item_index)):
+            if name not in index:
+                raise ParseError(f"{kind} {name!r} is not in {NODE_INDEX}; split it again",
+                                 line_no, path)
 
 
-def read_fold_manifests(directory, k: int) -> list:
-    """Reconstruct FoldSplits from manifests written by write_fold_manifests.
+def read_fold_manifests(directory, k: int, min_interactions: int) -> tuple:
+    """The folds and the descriptor of the split that write_fold_manifests wrote.
 
-    All k manifests are read into one set of columns; fold i's test rows are
-    manifest i's lines and its train rows the other manifests' lines, in
-    manifest order. Every line of manifest i must name fold i, so a manifest
-    copied or renamed into another fold's file is a ``ParseError``.
+    ``nodes.json`` is read first. The k manifests then decode to one set of
+    columns whose codes are node-index rows; fold i's test rows are manifest
+    i's lines and its train rows the other manifests' lines, in manifest
+    order. The first line of manifest i that is malformed, names another fold
+    or names an id the index lacks (the user's first) is a ``ParseError``.
+    Last, a (user, item) pair on two lines is a :class:`DuplicateEdgeError`.
     """
     if not os.path.isdir(directory):
         raise FileNotFoundError(f"fold manifests missing at {directory}; run split first")
-    user_ids, item_ids = {}, {}
-    users, items, rating, timestamp, sizes = [], [], [], [], []
-    for fold_index in range(k):
-        path = os.path.join(directory, f"fold{fold_index}.tsv")
-        with open(path, "r", encoding="utf-8") as fh, holding(path, "UTF-8 text"):
-            lines = _lines(fh.read())
-        n = len(lines)
-        try:
-            if (np.fromiter(map(str.count, lines, repeat("\t")), np.int64, n) != 4).any():
-                raise ValueError("field count")
-            columns = "\t".join(lines).split("\t") if n else []
-            rating.append(np.fromiter(map(float, columns[3::5]), np.float64, n))
-            timestamp.append(np.fromiter(map(int, columns[4::5]), np.int64, n))
-            if columns[0::5].count(str(fold_index)) != n:
-                raise ValueError("fold column")
-        except (ValueError, OverflowError):
-            _raise_first_bad_manifest_line(lines, path, fold_index)
-            raise
-        users.append(_encode(columns[1::5], user_ids))
-        items.append(_encode(columns[2::5], item_ids))
-        sizes.append(n)
-    ratings = Ratings(list(user_ids), list(item_ids),
-                      *map(np.concatenate, (users, items, rating, timestamp)))
-    manifest = np.repeat(np.arange(k), sizes)
-    return [FoldSplit(i, ratings.take(np.flatnonzero(manifest != i)),
-                      ratings.take(np.flatnonzero(manifest == i))) for i in range(k)]
-
-
-def write_node_index(directory, descriptor: DatasetDescriptor, min_interactions: int) -> None:
-    """Write ``descriptor`` to ``nodes.json`` in ``directory``.
-
-    The JSON object holds the user ids and the item ids, each in embedding-row
-    order, and the ``min_interactions`` filter that the split applied before
-    indexing them.
-    """
-    path = os.path.join(directory, NODE_INDEX)
-    # json.dumps runs the C encoder; json.dump into a file runs the Python one
-    text = json.dumps({"min_interactions": min_interactions,
-                       "users": sorted(descriptor.user_index, key=descriptor.user_index.get),
-                       "items": sorted(descriptor.item_index, key=descriptor.item_index.get)})
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
-def read_node_index(directory, min_interactions: int) -> DatasetDescriptor:
-    """The descriptor that :func:`write_node_index` wrote to ``directory``.
-
-    A missing or damaged file, and an index written under another
-    ``min_interactions`` than the one given, raise errors that name it.
-    """
     path = os.path.join(directory, NODE_INDEX)
     try:
         with open(path, "r", encoding="utf-8") as fh, holding(path, "a node index"):
@@ -435,4 +402,38 @@ def read_node_index(directory, min_interactions: int) -> DatasetDescriptor:
         raise ValueError(f"{directory} was split with --min-interactions "
                          f"{index['min_interactions']}, not --min-interactions "
                          f"{min_interactions}; pass the split's value or split again")
-    return DatasetDescriptor(len(user_index), len(item_index), user_index, item_index)
+    descriptor = DatasetDescriptor(len(user_index), len(item_index), user_index, item_index)
+    users, items, rating, timestamp, sizes = [], [], [], [], []
+    for fold_index in range(k):
+        path = os.path.join(directory, f"fold{fold_index}.tsv")
+        with open(path, "r", encoding="utf-8") as fh, holding(path, "UTF-8 text"):
+            lines = _lines(fh.read())
+        n = len(lines)
+        try:
+            if (np.fromiter(map(str.count, lines, repeat("\t")), np.int64, n) != 4).any():
+                raise ValueError("field count")
+            columns = "\t".join(lines).split("\t") if n else []
+            rating.append(np.fromiter(map(float, columns[3::5]), np.float64, n))
+            timestamp.append(np.fromiter(map(int, columns[4::5]), np.int64, n))
+            if columns[0::5].count(str(fold_index)) != n:
+                raise ValueError("fold column")
+            user, item = (np.fromiter(map(lookup.get, columns[f::5], repeat(-1)), np.int64, n)
+                          for f, lookup in enumerate((user_index, item_index), start=1))
+            if min(user.min(initial=0), item.min(initial=0)) < 0:
+                raise ValueError("unknown id")
+        except (ValueError, OverflowError):
+            _raise_first_bad_manifest_line(lines, path, fold_index, descriptor)
+            raise
+        users.append(user)
+        items.append(item)
+        sizes.append(n)
+    ratings = Ratings(index["users"], index["items"],
+                      *map(np.concatenate, (users, items, rating, timestamp)))
+    try:
+        reject_repeated_pairs(ratings, ratings.users, ratings.items)
+    except DuplicateEdgeError as exc:
+        raise DuplicateEdgeError(f"{directory}: {exc} in two manifest lines; "
+                                 "split it again") from None
+    manifest = np.repeat(np.arange(k), sizes)
+    return [FoldSplit(i, ratings.take(np.flatnonzero(manifest != i)),
+                      ratings.take(np.flatnonzero(manifest == i))) for i in range(k)], descriptor

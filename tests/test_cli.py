@@ -12,6 +12,7 @@ from signrec.cli import (
     EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, ExperimentConfig, build_parser, main,
     read_config_file, run_dir_name,
 )
+from signrec import evaluate as eval_mod
 from signrec.data import (
     Ratings, build_descriptor, filter_min_interactions, parse_ratings, read_fold_manifests,
 )
@@ -203,6 +204,90 @@ def test_manifest_id_missing_from_node_index_is_data_error(dataset_path, tmp_pat
     assert str(manifests) in err and repr(dropped) in err and "nodes.json" in err
 
 
+def test_pair_held_by_two_manifests_is_data_error(dataset_path, tmp_path, capsys):
+    # fold 1's first line copied into fold 0's manifest puts a test rating of
+    # fold 1 into fold 1's training set
+    out = tmp_path / "runs"
+    assert main(["split"] + base_args(dataset_path, str(out))) == EXIT_OK
+    manifests = out / "toy-folds-k3-seed11"
+    first = (manifests / "fold1.tsv").read_text().splitlines()[0]
+    with open(manifests / "fold0.tsv", "a") as fh:
+        fh.write("0" + first[1:] + "\n")
+    user, item = first.split("\t")[1:3]
+    for argv in (train_args(dataset_path, str(out), fold=1),
+                 ["evaluate"] + base_args(dataset_path, str(out)) + ["--run", str(out / "x")]):
+        capsys.readouterr()
+        assert main(argv) == EXIT_DATA
+        assert f"{manifests}: repeated interaction ({user}, {item}) in two manifest lines" \
+            in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == [manifests.name]
+
+
+@pytest.mark.parametrize("w_o, flags, kind", [("3", [], "signed"),
+                                              ("3.5", ["--positive-only"], "positive")])
+def test_fold_without_an_edge_is_named_before_the_run(tmp_path, capsys, w_o, flags, kind):
+    # every rating is 3: --w-o 3 signs none, and under 3.5 none is positive
+    path = tmp_path / "flat.tsv"
+    path.write_text("".join(f"{u}\t{i}\t3\t0\n" for u in range(6) for i in range(5)))
+    out = tmp_path / "runs"
+    args = ["--dataset", str(path), "--folds", "2", "--out", str(out)]
+    assert main(["split"] + args) == EXIT_OK
+    capsys.readouterr()
+    assert main(["train"] + args + ["--fold", "1", "--w-o", w_o, "--epochs", "1"] + flags) \
+        == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"data error: {out / 'flat-folds-k2-seed0'}: the training ratings of fold 1 make no "
+        f"{kind} edge at --w-o {float(w_o)}\n")
+    assert [p.name for p in out.iterdir()] == ["flat-folds-k2-seed0"]
+
+
+def test_evaluate_of_two_runs_prints_the_across_folds_summary(dataset_path, tmp_path, capsys):
+    out = str(tmp_path / "runs")
+    assert main(["split"] + base_args(dataset_path, out)) == EXIT_OK
+    runs = []
+    for fold in (0, 2):
+        assert main(train_args(dataset_path, out, fold=fold)) == EXIT_OK
+        runs.append(os.path.join(out, next(p for p in os.listdir(out) if f"fold{fold}" in p)))
+    capsys.readouterr()
+    argv = ["evaluate"] + base_args(dataset_path, out) + ["--k", "3", "--k", "7"]
+    assert main(argv + ["--run", runs[0], "--run", runs[1]]) == EXIT_OK
+    printed = capsys.readouterr().out.split("\nacross folds (mean +- std):\n")[1]
+    folds, descriptor = read_fold_manifests(os.path.join(out, "toy-folds-k3-seed11"), 3, 0)
+    reports = [eval_mod.evaluate(np.load(os.path.join(run, "embeddings.npy")),
+                                 descriptor.num_users,
+                                 eval_mod.ground_truth(folds[fold].test, descriptor),
+                                 eval_mod.train_interactions(folds[fold].train, descriptor),
+                                 (3, 7)) for fold, run in ((0, runs[0]), (2, runs[1]))]
+    summary = eval_mod.aggregate_fold_reports(reports)
+    assert len(summary) == 6
+    assert dict(line.strip().split(": ") for line in printed.splitlines()) == {
+        f"{metric}@{k}": f"{mean:.4f} +- {std:.4f}" for (k, metric), (mean, std) in summary.items()}
+
+
+def test_missing_dataset_is_usage_error(tmp_path, capsys):
+    assert main(["split", "--out", str(tmp_path / "runs")]) == EXIT_USAGE
+    assert "usage error: --dataset is required" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_evaluate_run_without_config_is_data_error_naming_it(dataset_path, tmp_path, capsys):
+    out = str(tmp_path / "runs")
+    assert main(["split"] + base_args(dataset_path, out)) == EXIT_OK
+    run = tmp_path / "empty-run"
+    run.mkdir()
+    capsys.readouterr()
+    assert main(["evaluate"] + base_args(dataset_path, out) + ["--run", str(run)]) == EXIT_DATA
+    assert f"data error: {run}: missing config" in capsys.readouterr().err
+
+
+def test_module_entry_point_prints_help():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(signrec.__file__)))
+    run = subprocess.run([sys.executable, "-m", "signrec", "--help"], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0
+    assert run.stdout.startswith("usage: signrec")
+
+
 def test_split_k1_is_usage_error(dataset_path, tmp_path):
     out = str(tmp_path / "runs")
     code = main(["split", "--dataset", dataset_path, "--folds", "1", "--out", out])
@@ -259,7 +344,8 @@ def test_final_checkpoint_rebuilds_embeddings(dataset_path, tmp_path):
     cfg = ModelConfig(**config["model"])
     descriptor = build_descriptor(parse_ratings(dataset_path))
     manifests = os.path.join(out, next(p for p in os.listdir(out) if "folds" in p))
-    fold = read_fold_manifests(manifests, config["k_folds"])[config["fold"]]
+    folds, _ = read_fold_manifests(manifests, config["k_folds"], config["min_interactions"])
+    fold = folds[config["fold"]]
     g = build_signed_graph(fold.train, descriptor, config["w_o"])
     z, *_ = forward_tensors(AdjacencySet.build(g, cfg),
                             load_checkpoint(os.path.join(ckpt_dir, "final.npz")), cfg)

@@ -1,3 +1,4 @@
+import json
 import os
 import tempfile
 
@@ -8,7 +9,7 @@ from hypothesis import event, given, settings, strategies as st
 from signrec.data import (
     DatasetDescriptor, ParseError, RatingRecord, Ratings, ValidationError, build_descriptor,
     filter_min_interactions, kfold_split, parse_ratings,
-    read_fold_manifests, reject_repeated_pairs, read_node_index, write_fold_manifests, write_node_index,
+    read_fold_manifests, reject_repeated_pairs, write_fold_manifests,
 )
 from signrec.evaluate import ground_truth, train_interactions
 from signrec.graph import DuplicateEdgeError, build_signed_graph
@@ -145,25 +146,30 @@ def test_descriptor_first_appearance_order():
 def test_node_index_round_trip_is_in_row_order(tmp_path):
     # the maps' insertion order is not their row order
     desc = DatasetDescriptor(3, 2, {"b": 2, "a a": 0, "ü": 1}, {"10": 1, "9": 0})
-    write_node_index(tmp_path, desc, 4)
+    ratings = Ratings.from_records([RatingRecord("b", "9", 4.0), RatingRecord("ü", "10", 2.0)])
+    write_fold_manifests(kfold_split(ratings, 2, seed=0), tmp_path, desc, 4)
     assert (tmp_path / "nodes.json").read_text() == \
         '{"min_interactions": 4, "users": ["a a", "\\u00fc", "b"], "items": ["9", "10"]}'
-    back = read_node_index(tmp_path, 4)
+    folds, back = read_fold_manifests(tmp_path, 2, 4)
     assert back == desc
     assert list(back.user_index.items()) == [("a a", 0), ("ü", 1), ("b", 2)]
+    # the folds' codes are node-index rows, into the index's own id lists
+    assert folds[0].test.user_ids == ["a a", "ü", "b"] and folds[0].test.item_ids == ["9", "10"]
+    every = [r for fold in folds for r in fold.test]
+    assert sorted(every, key=repr) == sorted(ratings, key=repr)
 
 
 def test_fold_manifest_round_trip(tmp_path):
     records = _records(17)
-    folds = kfold_split(records, 3, seed=5)
-    write_fold_manifests(folds, tmp_path)
-    loaded = read_fold_manifests(tmp_path, 3)
+    folds, desc = kfold_split(records, 3, seed=5), build_descriptor(records)
+    write_fold_manifests(folds, tmp_path, desc, 0)
+    loaded, _ = read_fold_manifests(tmp_path, 3, 0)
     for orig, back in zip(folds, loaded):
         assert sorted(orig.test, key=lambda r: r.timestamp) == \
                sorted(back.test, key=lambda r: r.timestamp)
     with pytest.raises(FileExistsError):
-        write_fold_manifests(folds, tmp_path)
-    write_fold_manifests(folds, tmp_path, force=True)
+        write_fold_manifests(folds, tmp_path, desc, 0)
+    write_fold_manifests(folds, tmp_path, desc, 0, force=True)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +230,7 @@ def _same(new, old):
 
 
 @given(_rating_files(), st.integers(0, 3), st.integers(2, 4), st.integers(0, 5))
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=500, deadline=None)
 def test_columns_match_the_record_path(file, threshold, k, seed):
     text, format = file
     with tempfile.TemporaryDirectory() as tmp:
@@ -248,15 +254,26 @@ def test_columns_match_the_record_path(file, threshold, k, seed):
         if not 1 < k <= len(records):
             return
         folds, ref_folds = kfold_split(ratings, k, seed), helpers.reference_kfold_split(records, k, seed)
-        write_fold_manifests(folds, os.path.join(tmp, "new"))
+        new_dir = os.path.join(tmp, "new")
+        write_fold_manifests(folds, new_dir, desc, threshold)
         helpers.reference_write_fold_manifests(ref_folds, os.path.join(tmp, "old"))
         for i in range(k):
             name = f"fold{i}.tsv"
-            with open(os.path.join(tmp, "new", name), "rb") as a, \
+            with open(os.path.join(new_dir, name), "rb") as a, \
                     open(os.path.join(tmp, "old", name), "rb") as b:
                 assert a.read() == b.read()
-        back = read_fold_manifests(os.path.join(tmp, "new"), k)
-        ref_back = helpers.reference_read_fold_manifests(os.path.join(tmp, "new"), k)
+        back = _outcome(read_fold_manifests, new_dir, k, threshold)
+        ref_back = helpers.reference_read_fold_manifests(new_dir, k)
+        # a pair on two manifest lines is refused, naming the first repeat in manifest order
+        repeat = _outcome(helpers.reference_build_signed_graph,
+                          [r for fold in ref_back for r in fold.test], desc, 3.5)
+        event(f"repeated pair: {isinstance(repeat, tuple)}")
+        if isinstance(repeat, tuple):
+            assert back == ("raised", DuplicateEdgeError,
+                            f"{new_dir}: {repeat[2]} in two manifest lines; split it again", None)
+            return
+        back, back_desc = back
+        assert back_desc == desc
         for fold, ref_fold, split_fold in zip(back, ref_back, folds):
             assert list(fold.train) == ref_fold.train
             assert list(fold.test) == ref_fold.test == list(split_fold.test)
@@ -316,27 +333,67 @@ def test_file_without_ratings_parses_to_no_ids(text):
     assert len(r.users) == len(r.items) == len(r) == len(r.user_ids) == len(r.item_ids) == 0
 
 
+def _node_index(directory, users, items):
+    """Write a ``nodes.json`` of ``users`` and ``items`` under --min-interactions 0."""
+    (directory / "nodes.json").write_text(
+        json.dumps({"min_interactions": 0, "users": users, "items": items}))
+
+
 @pytest.mark.parametrize("line", ["0\tu\ti\t5", "0\tu\ti\tx\t1", "0\tu\ti\t5\tt"],
                          ids=["fields", "rating", "timestamp"])
 def test_manifest_errors_match_the_record_path(tmp_path, line):
+    _node_index(tmp_path, ["u", "v"], ["i", "j"])
     (tmp_path / "fold0.tsv").write_text("0\tu\tj\t4\t1\n")
     (tmp_path / "fold1.tsv").write_text(f"1\tv\ti\t4\t1\n{line}\n")
-    new = _outcome(read_fold_manifests, tmp_path, 2)
+    new = _outcome(read_fold_manifests, tmp_path, 2, 0)
     assert new[0] == "raised" and new[3] == 2
     assert new == _outcome(helpers.reference_read_fold_manifests, tmp_path, 2)
 
 
 def test_manifest_of_another_fold_is_a_parse_error(tmp_path):
+    _node_index(tmp_path, ["u", "v", "w"], ["i", "j"])
     (tmp_path / "fold0.tsv").write_text("0\tu\tj\t4\t1\n")
     (tmp_path / "fold1.tsv").write_text("1\tv\ti\t4\t1\n10\tw\ti\t4\t1\n")
     with pytest.raises(ParseError, match="fold column '10'") as exc:
-        read_fold_manifests(tmp_path, 2)
+        read_fold_manifests(tmp_path, 2, 0)
     assert exc.value.line_no == 2 and str(tmp_path / "fold1.tsv") in str(exc.value)
     # a manifest copied into another fold's file
     (tmp_path / "fold1.tsv").write_text("0\tu\tj\t4\t1\n")
     with pytest.raises(ParseError, match="fold column '0'") as exc:
-        read_fold_manifests(tmp_path, 2)
+        read_fold_manifests(tmp_path, 2, 0)
     assert exc.value.line_no == 1
+
+
+@pytest.mark.parametrize("line, named", [("1\tx\ti\t4\t1", "user 'x'"),
+                                         ("1\tv\ty\t4\t1", "item 'y'"),
+                                         ("1\tx\ty\t4\t1", "user 'x'")],
+                         ids=["user", "item", "user-first"])
+def test_manifest_id_missing_from_the_node_index_names_file_and_line(tmp_path, line, named):
+    _node_index(tmp_path, ["u", "v"], ["i", "j"])
+    (tmp_path / "fold0.tsv").write_text("0\tu\tj\t4\t1\n")
+    # the first such line is named, not a later one
+    (tmp_path / "fold1.tsv").write_text(f"1\tv\ti\t4\t1\n{line}\n1\tz\tz\t4\t1\n")
+    with pytest.raises(ParseError) as exc:
+        read_fold_manifests(tmp_path, 2, 0)
+    assert exc.value.line_no == 2
+    assert str(exc.value) == \
+        f"{tmp_path / 'fold1.tsv'}: line 2: {named} is not in nodes.json; split it again"
+
+
+def test_pair_held_by_two_manifests_is_refused(tmp_path):
+    _node_index(tmp_path, ["u", "v"], ["i", "j"])
+    (tmp_path / "fold0.tsv").write_text("0\tv\tj\t2\t1\n0\tu\ti\t4\t1\n")
+    (tmp_path / "fold1.tsv").write_text("1\tu\tj\t4\t1\n1\tu\ti\t5\t2\n")
+    with pytest.raises(DuplicateEdgeError) as exc:
+        read_fold_manifests(tmp_path, 2, 0)
+    assert str(exc.value) == \
+        f"{tmp_path}: repeated interaction (u, i) in two manifest lines; split it again"
+
+
+def test_node_index_is_read_before_the_manifests(tmp_path):
+    (tmp_path / "fold0.tsv").write_text("not a manifest line\n")
+    with pytest.raises(FileNotFoundError, match="nodes.json is missing"):
+        read_fold_manifests(tmp_path, 2, 0)
 
 
 def test_repeated_pair_and_missing_id_errors_match_the_record_path():
