@@ -5,6 +5,16 @@ Ratings travel as columns (:class:`Ratings`) from the parse to evaluation:
 integer codes into the user- and item-id lists, the rating and the
 timestamp. Every function that takes ratings takes :class:`Ratings`;
 :class:`RatingRecord` is one row of them.
+
+``parse_ratings`` and ``read_fold_manifests`` decode their files with one
+field scanner. It reads the file as bytes, checks that it is UTF-8 and
+turns ``\r\n`` and ``\r`` into ``\n``; numpy then finds the line ends and
+separators and checks every line's field count in one pass. A field of 1
+to 18 ASCII digits is read in place; any other number field goes through
+``float``, ``int`` or ``_timestamp`` on its own text, so it keeps the value
+and acceptance it would have on its own. Ids are told apart by their bytes
+and length, and each distinct id is decoded once. Only a file that fails
+is split into Python strings, line by line, to name its first bad line.
 """
 from __future__ import annotations
 
@@ -167,14 +177,137 @@ def _timestamp(text: str) -> int:
     return value
 
 
-def _lines(text: str) -> list:
-    """The lines of ``text``, split at ``\\n``, ``\\r\\n`` and ``\\r``, without their ends."""
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    return lines
+# The ASCII bytes for which str.isspace holds, less the line ends "\n" and "\r".
+_BLANK = np.zeros(256, dtype=bool)
+_BLANK[[9, 11, 12, 28, 29, 30, 31, 32]] = True
+_DIGITS = 18  # a field of 1 to this many ASCII digits is read in place as an int64
+_LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(8)], dtype=np.uint64)
+
+
+def _read(path: str) -> tuple:
+    """The UTF-8 text file at ``path``: its bytes, a uint8 array of them, its line ends.
+
+    ``\\r\\n`` and ``\\r`` become ``\\n`` and a last line without an end gets
+    one, so line i is ``data[ends[i - 1] + 1:ends[i]]``. The array holds 7
+    NUL bytes past the text, so 8 bytes can be read at any offset of it.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with holding(path, "UTF-8 text"):
+        data.decode("utf-8")
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if data[-1:] not in (b"", b"\n"):
+        data += b"\n"
+    buf = np.frombuffer(data + bytes(7), np.uint8)
+    return data, buf, np.flatnonzero(buf == ord("\n"))
+
+
+def _lines(data: bytes) -> list:
+    """The lines of ``_read``'s text, without their ends."""
+    return data.decode("utf-8").split("\n")[:-1]
+
+
+def _skipped(data: bytes, buf: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Whether each line is blank or a comment, as ``str.isspace`` and ``str.lstrip`` say."""
+    starts = np.concatenate(([0], ends + 1))[:-1]
+    first = starts.copy()  # each line's first byte that is not blank, else its end
+    lead = np.flatnonzero(_BLANK[buf[starts]])
+    if len(lead):
+        solid = np.flatnonzero(~_BLANK[buf])
+        first[lead] = solid[np.searchsorted(solid, starts[lead])]
+    skip = np.isin(buf[first], (ord("\n"), ord("#")))
+    # a non-ASCII character there may be Unicode white space
+    for line in np.flatnonzero(buf[first] >= 128).tolist():
+        text = data[starts[line]:ends[line]].decode("utf-8")
+        skip[line] = text.isspace() or text.lstrip()[:1] == "#"
+    return skip
+
+
+def _fields(buf: np.ndarray, ends: np.ndarray, sep: bytes, rows, widths) -> tuple:
+    """The field count of each line in ``rows`` and the (start, end) offsets of its fields.
+
+    A line splits at ``sep`` as ``str.split(sep)`` splits it: in a run of
+    colons, ``::`` pairs the colons from the run's start. Field f of a line
+    of f or fewer fields is empty, at the line's end. Raises ``ValueError``
+    unless every line has one of ``widths`` fields.
+    """
+    cuts = np.flatnonzero(buf == sep[0])
+    if len(sep) == 2:  # "::"
+        cuts = cuts[:-1][np.diff(cuts) == 1]
+        run_start = np.maximum.accumulate(np.where(np.diff(cuts, prepend=-2) != 1, cuts, 0))
+        cuts = cuts[(cuts - run_start) % 2 == 0]
+    upto = np.searchsorted(cuts, ends)  # the cuts before each line's end
+    per_line = np.diff(upto, prepend=0)
+    first = (upto - per_line)[rows]
+    width = per_line[rows] + 1
+    if not np.isin(width, widths).all():
+        raise ValueError("field count")
+    lo, end, fields = np.concatenate(([0], ends + 1))[:-1][rows], ends[rows], []
+    for f in range(max(widths)):
+        hi = np.where(width > f + 1, cuts.take(first + f, mode="clip"), end)
+        fields.append((lo, hi))
+        lo = np.where(width > f + 1, hi + len(sep), end)
+    return width, fields
+
+
+def _numbers(data: bytes, buf: np.ndarray, field: tuple, convert, dtype) -> np.ndarray:
+    """``convert`` of the text of each field, as ``dtype``.
+
+    A field of 1 to ``_DIGITS`` ASCII digits is read in place, which gives
+    the value ``int`` and ``float`` give; ``convert`` reads every other one.
+    """
+    lo, hi = field
+    size = hi - lo
+    plain = (size > 0) & (size <= _DIGITS)
+    values = np.zeros(len(lo), dtype=np.int64)
+    for back in range(min(int(size.max(initial=0)), _DIGITS), 0, -1):
+        at = hi - back  # the digits are right-aligned: a field's leading columns are 0
+        inside = at >= lo
+        digit = buf[np.maximum(at, 0)] - ord("0")  # wraps below "0"
+        plain &= (digit <= 9) | ~inside
+        values = values * 10 + digit * inside
+    values = values.astype(dtype)
+    other = np.flatnonzero(~plain)
+    values[other] = np.fromiter(
+        (convert(data[a:b].decode("utf-8")) for a, b in zip(lo[other].tolist(),
+                                                            hi[other].tolist())),
+        dtype, len(other))
+    return values
+
+
+def _ids(data: bytes, buf: np.ndarray, field: tuple) -> tuple:
+    """Codes of the fields' texts in order of first appearance, and the texts in that order.
+
+    Fields are told apart by their bytes and length, and each text is
+    decoded once.
+    """
+    lo, hi = field
+    size = hi - lo
+    # up to 7 bytes and the length in one key; longer fields are numbered
+    # per length, above every such key
+    words = np.ndarray(len(buf) - 7, "<u8", buf, strides=(1,))
+    keys = words[lo] & _LOW_BYTES[np.minimum(size, 7)] | size.astype(np.uint64) << np.uint64(56)
+    long = np.flatnonzero(size > 7)
+    base = 1 << 63
+    for length in np.unique(size[long]).tolist():
+        rows = long[size[long] == length]
+        text = buf[lo[rows, None] + np.arange(length)]
+        _, local = np.unique(text.view(f"V{length}").ravel(), return_inverse=True)
+        keys[rows] = local.astype(np.uint64) + np.uint64(base)
+        base += int(local.max()) + 1
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    first = np.full(len(distinct), len(lo))
+    np.minimum.at(first, inverse, np.arange(len(lo)))
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    # one decode of the distinct fields, each followed by "\n", which no field holds
+    start, span = lo[first[order]], size[first[order]] + 1
+    at = np.cumsum(span) - span
+    joined = buf[np.arange(span.sum()) + np.repeat(start - at, span)]
+    joined[at + span - 1] = ord("\n")
+    return rank[inverse], joined.tobytes().decode("utf-8").split("\n")[:-1]
 
 
 def _raise_first_bad_line(lines: list, sep: str, path: str) -> None:
@@ -187,6 +320,10 @@ def _raise_first_bad_line(lines: list, sep: str, path: str) -> None:
         if len(parts) not in (3, 4):
             raise ParseError(f"expected 3 or 4 fields separated by {sep!r}, got {len(parts)}",
                              line_no, path)
+        for kind, name in (("user", parts[0]), ("item", parts[1])):
+            if "\t" in name:
+                raise ParseError(f"{kind} id {name!r} holds a tab, which a fold manifest "
+                                 "cannot hold", line_no, path)
         try:
             rating = float(parts[2])
         except ValueError:
@@ -205,42 +342,32 @@ def parse_ratings(path, format: str = "tsv") -> Ratings:
 
     Lines end at ``\\n``, ``\\r\\n`` or ``\\r``. Blank lines and lines starting
     with ``#`` are skipped, and still count in the line numbers of errors.
+    A user or item id that holds a tab is refused: a fold manifest could not
+    hold it.
     """
     if format not in _SEPARATORS:
         raise ValueError(f"unknown format {format!r}")
     sep = _SEPARATORS[format]
     path = os.fspath(path)
-    with open(path, "r", encoding="utf-8", newline="") as fh, holding(path, "UTF-8 text"):
-        text = fh.read()
-    lines = _lines(text)
-    n = len(lines)
-    skip = np.fromiter(map(str.isspace, lines), bool, n)
-    skip |= np.fromiter(map(len, lines), np.int64, n) == 0
-    if "#" in text:
-        skip |= np.fromiter((line.lstrip()[:1] == "#" for line in lines), bool, n)
-    kept = np.flatnonzero(~skip)
-    widths = np.fromiter(map(str.count, lines, repeat(sep)), np.int64, n)[kept] + 1
+    data, buf, ends = _read(path)
     lo, hi = RATING_SCALE
     try:
-        if not np.isin(widths, (3, 4)).all():
-            raise ValueError("field count")
-        width = int(widths.max(initial=3))
-        rows = map(lines.__getitem__, kept.tolist())
-        if (widths < width).any():  # one split at 4 fields: a missing timestamp is 0
-            rows = (line + sep + "0" if w == 3 else line for line, w in zip(rows, widths.tolist()))
-        flat = "\n".join(rows).replace(sep, "\n").split("\n") if len(kept) else []
-        users, items, rating, *timestamp = (flat[f::width] for f in range(width))
-        rating = np.fromiter(map(float, rating), np.float64, len(kept))
-        timestamp = (np.fromiter(map(int, timestamp[0]), np.int64, len(kept)) if timestamp
-                     else np.zeros(len(kept), np.int64))
+        width, (user, item, rating, stamp) = _fields(
+            buf, ends, sep.encode(), np.flatnonzero(~_skipped(data, buf, ends)), (3, 4))
+        rating = _numbers(data, buf, rating, float, np.float64)
+        timestamp = np.zeros(len(width), dtype=np.int64)  # 0 where a line has no timestamp
+        four = np.flatnonzero(width == 4)
+        timestamp[four] = _numbers(data, buf, (stamp[0][four], stamp[1][four]),
+                                   _timestamp, np.int64)
         if not ((rating >= lo) & (rating <= hi)).all():
             raise ValueError("rating scale")
-    except (ValueError, OverflowError):
-        _raise_first_bad_line(lines, sep, path)
+        (users, user_ids), (items, item_ids) = _ids(data, buf, user), _ids(data, buf, item)
+        if any("\t" in name for name in user_ids + item_ids):
+            raise ValueError("tab in an id")
+    except ValueError:
+        _raise_first_bad_line(_lines(data), sep, path)
         raise
-    user_ids, item_ids = {}, {}
-    users, items = _encode(users, user_ids), _encode(items, item_ids)
-    return Ratings(list(user_ids), list(item_ids), users, items, rating, timestamp)
+    return Ratings(user_ids, item_ids, users, items, rating, timestamp)
 
 
 def filter_min_interactions(ratings: Ratings, threshold: int) -> Ratings:
@@ -332,14 +459,15 @@ def write_fold_manifests(folds, directory, descriptor: DatasetDescriptor,
         raise FileExistsError(f"{existing[0]} exists; pass force to overwrite")
     for fold, path in zip(folds, paths):
         test = fold.test
-        line = f"{fold.fold_index}\t{{}}\t{{}}\t{{}}\t{{}}\n".format
         ratings = test.rating.tolist()
         formatted = {rating: _format_rating(rating) for rating in set(ratings)}
+        columns = (repeat(str(fold.fold_index)),
+                   map(test.user_ids.__getitem__, test.users.tolist()),
+                   map(test.item_ids.__getitem__, test.items.tolist()),
+                   map(formatted.__getitem__, ratings), map(str, test.timestamp.tolist()))
         with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(map(line, map(test.user_ids.__getitem__, test.users.tolist()),
-                              map(test.item_ids.__getitem__, test.items.tolist()),
-                              map(formatted.__getitem__, ratings),
-                              test.timestamp.tolist()))
+            if len(test):
+                fh.write("\n".join(map("\t".join, zip(*columns))) + "\n")
     # json.dumps runs the C encoder; json.dump into a file runs the Python one
     text = json.dumps({"min_interactions": min_interactions,
                        "users": sorted(descriptor.user_index, key=descriptor.user_index.get),
@@ -351,6 +479,7 @@ def write_fold_manifests(folds, directory, descriptor: DatasetDescriptor,
 
 def _raise_first_bad_manifest_line(lines: list, path: str, fold_index: int,
                                    descriptor: DatasetDescriptor) -> None:
+    lo, hi = RATING_SCALE
     for line_no, line in enumerate(lines, start=1):
         parts = line.split("\t")
         if len(parts) != 5:
@@ -367,6 +496,9 @@ def _raise_first_bad_manifest_line(lines: list, path: str, fold_index: int,
             if name not in index:
                 raise ParseError(f"{kind} {name!r} is not in {NODE_INDEX}; split it again",
                                  line_no, path)
+        if not (lo <= float(parts[3]) <= hi):
+            raise ValidationError(f"rating {float(parts[3])} outside scale [{lo}, {hi}]",
+                                  line_no, path)
 
 
 def read_fold_manifests(directory, k: int, min_interactions: int) -> tuple:
@@ -376,7 +508,8 @@ def read_fold_manifests(directory, k: int, min_interactions: int) -> tuple:
     columns whose codes are node-index rows; fold i's test rows are manifest
     i's lines and its train rows the other manifests' lines, in manifest
     order. The first line of manifest i that is malformed, names another fold
-    or names an id the index lacks (the user's first) is a ``ParseError``.
+    or names an id the index lacks (the user's first) is a ``ParseError``,
+    and one whose rating lies off the scale a :class:`ValidationError`.
     Last, a (user, item) pair on two lines is a :class:`DuplicateEdgeError`.
     """
     if not os.path.isdir(directory):
@@ -403,32 +536,35 @@ def read_fold_manifests(directory, k: int, min_interactions: int) -> tuple:
                          f"{index['min_interactions']}, not --min-interactions "
                          f"{min_interactions}; pass the split's value or split again")
     descriptor = DatasetDescriptor(len(user_index), len(item_index), user_index, item_index)
-    users, items, rating, timestamp, sizes = [], [], [], [], []
+    columns, sizes = [], []
+    lo, hi = RATING_SCALE
     for fold_index in range(k):
         path = os.path.join(directory, f"fold{fold_index}.tsv")
-        with open(path, "r", encoding="utf-8") as fh, holding(path, "UTF-8 text"):
-            lines = _lines(fh.read())
-        n = len(lines)
+        data, buf, ends = _read(path)
         try:
-            if (np.fromiter(map(str.count, lines, repeat("\t")), np.int64, n) != 4).any():
-                raise ValueError("field count")
-            columns = "\t".join(lines).split("\t") if n else []
-            rating.append(np.fromiter(map(float, columns[3::5]), np.float64, n))
-            timestamp.append(np.fromiter(map(int, columns[4::5]), np.int64, n))
-            if columns[0::5].count(str(fold_index)) != n:
+            _, (fold, user, item, rating, stamp) = _fields(buf, ends, b"\t", slice(None), (5,))
+            rating = _numbers(data, buf, rating, float, np.float64)
+            timestamp = _numbers(data, buf, stamp, _timestamp, np.int64)
+            tag = str(fold_index).encode()
+            same = fold[1] - fold[0] == len(tag)
+            for at, byte in enumerate(tag):
+                same &= buf[np.minimum(fold[0] + at, len(buf) - 1)] == byte
+            if not same.all():
                 raise ValueError("fold column")
-            user, item = (np.fromiter(map(lookup.get, columns[f::5], repeat(-1)), np.int64, n)
-                          for f, lookup in enumerate((user_index, item_index), start=1))
+            user, item = (np.fromiter(map(lookup.get, texts, repeat(-1)), np.int64,
+                                      len(texts))[codes]
+                          for (codes, texts), lookup in ((_ids(data, buf, user), user_index),
+                                                         (_ids(data, buf, item), item_index)))
             if min(user.min(initial=0), item.min(initial=0)) < 0:
                 raise ValueError("unknown id")
-        except (ValueError, OverflowError):
-            _raise_first_bad_manifest_line(lines, path, fold_index, descriptor)
+            if not ((rating >= lo) & (rating <= hi)).all():
+                raise ValueError("rating scale")
+        except ValueError:
+            _raise_first_bad_manifest_line(_lines(data), path, fold_index, descriptor)
             raise
-        users.append(user)
-        items.append(item)
-        sizes.append(n)
-    ratings = Ratings(index["users"], index["items"],
-                      *map(np.concatenate, (users, items, rating, timestamp)))
+        columns.append((user, item, rating, timestamp))
+        sizes.append(len(ends))
+    ratings = Ratings(index["users"], index["items"], *map(np.concatenate, zip(*columns)))
     try:
         reject_repeated_pairs(ratings, ratings.users, ratings.items)
     except DuplicateEdgeError as exc:

@@ -4,12 +4,12 @@ Ground truth per user is the array of test items rated 4 or higher. Users
 with empty ground truth are excluded; metric means run over the evaluated
 users. Items the user touched in training, with either sign, are excluded
 from ranking. Both are int64 arrays of distinct items, one slice of a
-grouped array per user. Users are ranked in blocks: one score matrix per
-block, with the training items set to -inf. The K-th largest of a row's
-chunk maxima bounds its K-th largest score from below, and only the items
-scoring at least that bound are sorted, by score and then item index; the
-lists equal those of a full stable sort per row. Embeddings with a NaN or
-infinite value are rejected.
+grouped array per user. Users are ranked in blocks; each block's scores
+fill one buffer that ``evaluate`` owns, with the training items set to
+-inf. The K-th largest of a row's chunk maxima bounds its K-th largest
+score from below, and only the items scoring at least that bound are
+sorted, by score and then item index; the lists equal those of a full
+stable sort per row. Embeddings with a NaN or infinite value are rejected.
 """
 from __future__ import annotations
 
@@ -49,11 +49,13 @@ def _pairs(item_arrays) -> tuple:
 
 
 def topk_recommend(Z: np.ndarray, num_users: int, users, k: int,
-                   exclude: dict) -> np.ndarray:
+                   exclude: dict, out: np.ndarray = None) -> np.ndarray:
     """Top-k items for each of ``users``, ties broken by the lower item index.
 
     ``exclude`` maps a user to a 1-D integer array of the distinct items left
-    out of its ranking. Returns an int array of shape (len(users), k); a row
+    out of its ranking. When ``out`` is given, the scores are written into
+    its first len(users) rows: it is an array of ``Z``'s dtype with one
+    column per item. Returns an int array of shape (len(users), k); a row
     holds -1 past the user's candidate count, so a user with fewer than k
     candidates gets a short list. The result equals
     ``argsort(-scores, kind="stable")[:, :k]``, but only the items scoring at
@@ -63,7 +65,8 @@ def topk_recommend(Z: np.ndarray, num_users: int, users, k: int,
         raise ValueError("k must be >= 1")
     num_items = Z.shape[0] - num_users
     excluded = [exclude.get(u, _EMPTY) for u in users]
-    scores = Z[users] @ Z[num_users:].T
+    scores = np.matmul(Z[users], Z[num_users:].T,
+                       out=None if out is None else out[:len(users)])
     scores[_pairs(excluded)] = -np.inf
     # Chunk c of a row holds items c, c + m, c + 2m, ...: a column of the
     # (depth, m) view of its first depth * m scores. Each chunk maximum is a
@@ -162,9 +165,10 @@ def evaluate(Z: np.ndarray, num_users: int, truth: dict, exclude: dict,
         raise ValueError("no evaluable users (all ground-truth sets empty)")
     num_items, max_k = Z.shape[0] - num_users, ks[-1]
     hits = np.empty((len(users), max_k), dtype=bool)
+    scores = np.empty((min(len(users), BLOCK_USERS), num_items), dtype=Z.dtype)
     for start in range(0, len(users), BLOCK_USERS):
         block = users[start:start + BLOCK_USERS]
-        recs = topk_recommend(Z, num_users, block, max_k, exclude)
+        recs = topk_recommend(Z, num_users, block, max_k, exclude, scores)
         relevant = np.zeros((len(block), num_items), dtype=bool)
         relevant[_pairs([truth[u] for u in block])] = True
         hits[start:start + len(block)] = (

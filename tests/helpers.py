@@ -6,6 +6,7 @@ loops, so they can vouch for the production implementations.
 """
 from __future__ import annotations
 
+import json
 import math
 import os
 from collections import Counter, defaultdict
@@ -637,6 +638,10 @@ def reference_parse_ratings(path, format="tsv"):
             raise ParseError(f"expected 3 or 4 fields separated by {sep!r}, got {len(parts)}",
                              line_no, path)
         user_id, item_id = parts[0], parts[1]
+        for kind, name in (("user", user_id), ("item", item_id)):
+            if "\t" in name:
+                raise ParseError(f"{kind} id {name!r} holds a tab, which a fold manifest "
+                                 "cannot hold", line_no, path)
         try:
             rating = float(parts[2])
         except ValueError:
@@ -697,6 +702,9 @@ def reference_write_fold_manifests(folds, directory):
 
 
 def reference_read_fold_manifests(directory, k):
+    with open(os.path.join(directory, "nodes.json"), "r", encoding="utf-8") as fh:
+        index = json.load(fh)
+    lo, hi = RATING_SCALE
     tests = []
     for fold_index in range(k):
         path = os.path.join(directory, f"fold{fold_index}.tsv")
@@ -708,8 +716,21 @@ def reference_read_fold_manifests(directory, k):
                     raise ParseError("expected 5 manifest fields", line_no, path)
                 try:
                     rating, timestamp = float(parts[3]), int(parts[4])
+                    if not -2**63 <= timestamp < 2**63:
+                        raise ValueError(f"timestamp {parts[4]!r} outside the int64 range")
                 except ValueError as exc:
                     raise ParseError(f"bad rating or timestamp ({exc})", line_no, path) from None
+                if parts[0] != str(fold_index):
+                    raise ParseError(f"fold column {parts[0]!r} in the manifest of fold "
+                                     f"{fold_index}", line_no, path)
+                for kind, name, ids in (("user", parts[1], index["users"]),
+                                        ("item", parts[2], index["items"])):
+                    if name not in ids:
+                        raise ParseError(f"{kind} {name!r} is not in nodes.json; split it again",
+                                         line_no, path)
+                if not lo <= rating <= hi:
+                    raise ValidationError(f"rating {rating} outside scale [{lo}, {hi}]",
+                                          line_no, path)
                 records.append(RatingRecord(parts[1], parts[2], rating, timestamp))
         tests.append(records)
     return [FoldSplit(i, [r for j in range(k) if j != i for r in tests[j]], tests[i])

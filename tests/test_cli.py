@@ -949,6 +949,21 @@ def test_movielens_dat_split_serves_train_and_evaluate_without_a_format(dataset_
     assert (run / "reports" / "metrics.csv").is_file()
 
 
+def test_movielens_dat_id_holding_a_tab_is_refused_before_writing(dataset_path, tmp_path,
+                                                                  capsys):
+    # a manifest is tab-separated, so such an id would give a split that its own reader refuses
+    lines = open(dataset_path).read().replace("\t", "::").splitlines(keepends=True)
+    lines[4] = "a\tb" + lines[4][lines[4].index("::"):]
+    dat = tmp_path / "toy.dat"
+    dat.write_text("".join(lines))
+    out = tmp_path / "runs"
+    argv = ["split"] + base_args(str(dat), str(out)) + ["--format", "movielens-dat"]
+    assert main(argv) == EXIT_DATA
+    assert capsys.readouterr().err == (f"data error: {dat}: line 5: user id 'a\\tb' holds a "
+                                       "tab, which a fold manifest cannot hold\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, value, says", [
     ("--seed", "12", "--seed 11, not --seed 12"),
     ("--folds", "4", "--folds 3, not --folds 4"),

@@ -183,7 +183,7 @@ def _outcome(fn, *args):
         return ("raised", type(exc), str(exc), getattr(exc, "line_no", None))
 
 
-_IDS = st.sampled_from(["1", "2", "10", "u7", "é", " x", "a:b", "#3"])
+_IDS = st.sampled_from(["1", "2", "10", "u7", "é", " x", "a:b", "x:", "#3"])
 _RATINGS = st.sampled_from(["5", "1", "3", "4.5", "2.25", " 4", "4.0", "1e0", "3.5",
                             "9", "0.5", "nan", "x", ""])
 _STAMPS = st.sampled_from(["0", "978300760", "-3", " 12", "007", "t", "1.5",
@@ -200,9 +200,9 @@ def _rating_files(draw):
     for _ in range(draw(st.integers(0, 40))):
         kind = draw(st.sampled_from(["rating"] * 6 + ["comment", "blank", "short"]))
         if kind == "comment":
-            line = draw(st.sampled_from(["#", "# header", "  #x\t1\t2"]))
+            line = draw(st.sampled_from(["#", "# header", "  #x\t1\t2", "\x1c#", "\u3000# x"]))
         elif kind == "blank":
-            line = draw(st.sampled_from(["", " ", "\t", " \t "]))
+            line = draw(st.sampled_from(["", " ", "\t", " \t ", "\x1c", "\x85 ", "\u3000"]))
         elif kind == "short" and not good:
             line = sep.join(["1", "2", "3", "4", "5"][:draw(st.sampled_from([1, 2, 5]))])
         else:
@@ -326,6 +326,16 @@ def test_mixed_width_error_names_the_line_as_written(tmp_path):
     assert new[2] == f"{path}: line 2: bad rating field '5:'"
 
 
+def test_movielens_dat_id_holding_a_tab_matches_the_record_path(tmp_path):
+    # the id is named before the same line's rating and timestamp
+    path = tmp_path / "ratings.dat"
+    path.write_bytes(b"1::2::5::0\n3::4\tx::9::t\n")
+    new = _outcome(parse_ratings, str(path), "movielens-dat")
+    assert new == _outcome(helpers.reference_parse_ratings, str(path), "movielens-dat")
+    assert new[2] == \
+        f"{path}: line 2: item id '4\\tx' holds a tab, which a fold manifest cannot hold"
+
+
 @pytest.mark.parametrize("text", [b"", b"# header\n#\n", b"\n \n\t\r\n"],
                          ids=["empty", "comments", "blank"])
 def test_file_without_ratings_parses_to_no_ids(text):
@@ -339,8 +349,9 @@ def _node_index(directory, users, items):
         json.dumps({"min_interactions": 0, "users": users, "items": items}))
 
 
-@pytest.mark.parametrize("line", ["0\tu\ti\t5", "0\tu\ti\tx\t1", "0\tu\ti\t5\tt"],
-                         ids=["fields", "rating", "timestamp"])
+@pytest.mark.parametrize("line", ["0\tu\ti\t5", "0\tu\ti\tx\t1", "0\tu\ti\t5\tt",
+                                  "1\tu\ti\tnan\t1", "1\tu\ti\t9\t1"],
+                         ids=["fields", "rating", "timestamp", "nan", "scale"])
 def test_manifest_errors_match_the_record_path(tmp_path, line):
     _node_index(tmp_path, ["u", "v"], ["i", "j"])
     (tmp_path / "fold0.tsv").write_text("0\tu\tj\t4\t1\n")
@@ -348,6 +359,91 @@ def test_manifest_errors_match_the_record_path(tmp_path, line):
     new = _outcome(read_fold_manifests, tmp_path, 2, 0)
     assert new[0] == "raised" and new[3] == 2
     assert new == _outcome(helpers.reference_read_fold_manifests, tmp_path, 2)
+
+
+_MANIFEST_IDS = st.sampled_from(["u7\x00", "\x00", "ü", "abcdefghijk", "abcdefghijkl", "٣"])
+_UNKNOWN_IDS = st.sampled_from(["u", "abcdefghij", "abcdefghijkm", "u7\x00\x00", "1\x00", "zz"])
+_MANIFEST_RATINGS = st.sampled_from(["+5", " 5", "1_0", "٣", "1e3", "3.5", "nan"])
+_MANIFEST_STAMPS = st.sampled_from(["+5", "1_0", "٣", "1" * 19, str(2**63), str(-2**63),
+                                    "9" * 25])
+
+
+@st.composite
+def _split_directories(draw):
+    """The node index and manifest texts of a split, and its fold count."""
+    ids = st.one_of(_IDS, _MANIFEST_IDS)
+    users = draw(st.lists(ids, min_size=1, max_size=6, unique=True))
+    items = draw(st.lists(ids, min_size=1, max_size=6, unique=True))
+    k = draw(st.integers(2, 3))
+    good = draw(st.booleans())   # most splits read, so the folds are compared
+    manifests = []
+    for fold in range(k):
+        lines = []
+        for _ in range(draw(st.integers(0 if not good else 1, 8))):
+            kind = draw(st.sampled_from(["rating"] * 8 + ["blank", "short", "other fold",
+                                                         "unknown id"]))
+            if good or kind == "rating":
+                line = [str(fold), draw(st.sampled_from(users)), draw(st.sampled_from(items)),
+                        draw(st.one_of(_RATINGS, _MANIFEST_RATINGS)),
+                        draw(st.one_of(_STAMPS, _MANIFEST_STAMPS))]
+                if good:
+                    line[3:] = [draw(st.sampled_from(["5", "1", "2.5", "4.75", " 5", "+5", "٣"])),
+                                draw(st.sampled_from(["0", "17", "-2", "1" * 18, "1" * 19,
+                                                      "٣", "1_0"]))]
+            elif kind == "blank":
+                line = [draw(st.sampled_from(["", " "]))]
+            elif kind == "short":
+                line = [str(fold), users[0], items[0], "5"]
+            elif kind == "other fold":
+                line = [draw(st.sampled_from([str(fold + 1), f" {fold}", f"+{fold}", "٠", ""])),
+                        users[0], items[0], "5", "0"]
+            else:
+                line = [str(fold), draw(_UNKNOWN_IDS), items[-1], "5", "0"]
+            lines.append("\t".join(line) + draw(st.sampled_from(["\n", "\r\n", "\r"])))
+        if lines and draw(st.booleans()):
+            lines[-1] = lines[-1].rstrip("\r\n")
+        manifests.append("".join(lines))
+    return users, items, manifests
+
+
+@given(_split_directories())
+@settings(max_examples=300, deadline=None)
+def test_manifests_read_as_the_record_path_reads_them(split):
+    users, items, manifests = split
+    k = len(manifests)
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "nodes.json"), "w", encoding="utf-8") as fh:
+            json.dump({"min_interactions": 0, "users": users, "items": items}, fh)
+        for fold, text in enumerate(manifests):
+            with open(os.path.join(tmp, f"fold{fold}.tsv"), "w", encoding="utf-8",
+                      newline="") as fh:
+                fh.write(text)
+        new = _outcome(read_fold_manifests, tmp, k, 0)
+        old = _outcome(helpers.reference_read_fold_manifests, tmp, k)
+        event(f"read: {not isinstance(old, tuple)}")
+        if isinstance(old, tuple):
+            assert new == old
+            return
+        # a pair on two manifest lines is refused, naming the first repeat in manifest order
+        seen = set()
+        repeat = next((r for fold in old for r in fold.test
+                       if (r.user_id, r.item_id) in seen or seen.add((r.user_id, r.item_id))),
+                      None)
+        event(f"repeated pair: {repeat is not None}")
+        if repeat is not None:
+            assert new == ("raised", DuplicateEdgeError,
+                           f"{tmp}: repeated interaction ({repeat.user_id}, {repeat.item_id}) "
+                           "in two manifest lines; split it again", None)
+            return
+        folds, desc = new
+        assert list(desc.user_index.items()) == list(zip(users, range(len(users))))
+        assert list(desc.item_index.items()) == list(zip(items, range(len(items))))
+        for fold, ref in zip(folds, old):
+            assert fold.test.user_ids == users and fold.test.item_ids == items
+            for rows, ref_rows in ((fold.train, ref.train), (fold.test, ref.test)):
+                assert [rows.users.dtype, rows.items.dtype, rows.rating.dtype,
+                        rows.timestamp.dtype] == [np.int64, np.int64, np.float64, np.int64]
+                assert list(rows) == ref_rows
 
 
 def test_manifest_of_another_fold_is_a_parse_error(tmp_path):
@@ -428,6 +524,18 @@ def test_reject_repeated_pairs_names_the_first_repeat(pairs):
     else:
         assert outcome == ("raised", DuplicateEdgeError,
                            f"repeated interaction (u{first[0]}, i{first[1]})", None)
+
+
+def test_ids_that_differ_only_in_trailing_nul_bytes_stay_apart(tmp_path):
+    # ids are told apart by their bytes and their length, 8 bytes or longer alike
+    ids = ["u", "u\x00", "u\x00\x00", "", "abcdefgh", "abcdefgh\x00"]
+    ratings = _parse("".join(f"{u}\t{i}\t5\t0\n" for u in ids for i in ids[::-1]).encode())
+    assert ratings.user_ids == ids and ratings.item_ids == ids[::-1]
+    folds = kfold_split(ratings, 2, seed=0)
+    write_fold_manifests(folds, tmp_path, build_descriptor(ratings), 0)
+    back, _ = read_fold_manifests(tmp_path, 2, 0)
+    for fold, ref in zip(back, folds):
+        assert list(fold.test) == list(ref.test)
 
 
 def test_timestamp_outside_int64_is_a_parse_error():

@@ -5,8 +5,8 @@ import pytest
 
 from signrec.data import RatingRecord, Ratings
 from signrec.evaluate import (
-    CHUNK_ITEMS, aggregate_fold_reports, evaluate, format_report, ground_truth, topk_recommend,
-    train_interactions, write_report_csv,
+    BLOCK_USERS, CHUNK_ITEMS, aggregate_fold_reports, evaluate, format_report, ground_truth,
+    topk_recommend, train_interactions, write_report_csv,
 )
 
 from helpers import (
@@ -121,8 +121,13 @@ def test_topk_ml1m_shaped_block_matches_stable_argsort():
     for row, u in enumerate(users):
         scores[row, exclude[u]] = -np.inf
     ranked = np.argsort(-scores, axis=1, kind="stable")
+    out = np.full((BLOCK_USERS + 7, num_items), np.nan)  # a buffer longer than the block
     for k in (1, 5, 10, 15, 20):
         assert np.array_equal(topk_recommend(Z, num_users, users, k, exclude), ranked[:, :k])
+        assert np.array_equal(topk_recommend(Z, num_users, users, k, exclude, out),
+                              ranked[:, :k])
+    # the product written into the buffer equals the fresh one bit for bit
+    assert np.array_equal(out[:num_users], scores)
 
 def test_precision_recall_arithmetic():
     p, r, _ = metrics_at(range(10), {0, 3, 7, 90, 91}, 10)  # 3 of 5 in top-10
