@@ -324,6 +324,9 @@ def cmd_evaluate(args, cfg: ExperimentConfig) -> int:
         if embeddings.ndim != 2 or embeddings.shape[0] != nodes:
             raise ValueError(f"{emb_path}: a {embeddings.shape} array, not {nodes} rows "
                              "(the dataset's users and items) of embeddings")
+        if not np.issubdtype(embeddings.dtype, np.floating):
+            raise ValueError(f"{emb_path}: {embeddings.dtype} values, not real "
+                             "floating-point embeddings")
         truth = eval_mod.ground_truth(fold.test, descriptor)
         exclude = eval_mod.train_interactions(fold.train, descriptor)
         try:

@@ -9,12 +9,13 @@ timestamp. Every function that takes ratings takes :class:`Ratings`;
 ``parse_ratings`` and ``read_fold_manifests`` decode their files with one
 field scanner. It reads the file as bytes, checks that it is UTF-8 and
 turns ``\r\n`` and ``\r`` into ``\n``; numpy then finds the line ends and
-separators and checks every line's field count in one pass. A field of 1
-to 18 ASCII digits is read in place; any other number field goes through
+separators and each line's field count in one pass. A field of 1 to 18
+ASCII digits is read in place; any other number field goes through
 ``float``, ``int`` or ``_timestamp`` on its own text, so it keeps the value
 and acceptance it would have on its own. Ids are told apart by their bytes
-and length, and each distinct id is decoded once. Only a file that fails
-is split into Python strings, line by line, to name its first bad line.
+and length, and each distinct id is decoded once. Each input rule marks the
+lines it refuses, and ``_refuse`` names the first such line from its field
+bytes: no file is read twice.
 """
 from __future__ import annotations
 
@@ -203,11 +204,6 @@ def _read(path: str) -> tuple:
     return data, buf, np.flatnonzero(buf == ord("\n"))
 
 
-def _lines(data: bytes) -> list:
-    """The lines of ``_read``'s text, without their ends."""
-    return data.decode("utf-8").split("\n")[:-1]
-
-
 def _skipped(data: bytes, buf: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Whether each line is blank or a comment, as ``str.isspace`` and ``str.lstrip`` say."""
     starts = np.concatenate(([0], ends + 1))[:-1]
@@ -224,13 +220,12 @@ def _skipped(data: bytes, buf: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return skip
 
 
-def _fields(buf: np.ndarray, ends: np.ndarray, sep: bytes, rows, widths) -> tuple:
-    """The field count of each line in ``rows`` and the (start, end) offsets of its fields.
+def _fields(buf: np.ndarray, ends: np.ndarray, sep: bytes, rows, n: int) -> tuple:
+    """The field count of each line in ``rows`` and the (start, end) offsets of its first n fields.
 
     A line splits at ``sep`` as ``str.split(sep)`` splits it: in a run of
     colons, ``::`` pairs the colons from the run's start. Field f of a line
-    of f or fewer fields is empty, at the line's end. Raises ``ValueError``
-    unless every line has one of ``widths`` fields.
+    of f or fewer fields is empty, at the line's end.
     """
     cuts = np.flatnonzero(buf == sep[0])
     if len(sep) == 2:  # "::"
@@ -239,23 +234,22 @@ def _fields(buf: np.ndarray, ends: np.ndarray, sep: bytes, rows, widths) -> tupl
         cuts = cuts[(cuts - run_start) % 2 == 0]
     upto = np.searchsorted(cuts, ends)  # the cuts before each line's end
     per_line = np.diff(upto, prepend=0)
-    first = (upto - per_line)[rows]
-    width = per_line[rows] + 1
-    if not np.isin(width, widths).all():
-        raise ValueError("field count")
+    first, width = (upto - per_line)[rows], per_line[rows] + 1
+    cuts = cuts if len(cuts) else np.zeros(1, dtype=np.int64)  # take needs a cut to clip to
     lo, end, fields = np.concatenate(([0], ends + 1))[:-1][rows], ends[rows], []
-    for f in range(max(widths)):
+    for f in range(n):
         hi = np.where(width > f + 1, cuts.take(first + f, mode="clip"), end)
         fields.append((lo, hi))
         lo = np.where(width > f + 1, hi + len(sep), end)
     return width, fields
 
 
-def _numbers(data: bytes, buf: np.ndarray, field: tuple, convert, dtype) -> np.ndarray:
-    """``convert`` of the text of each field, as ``dtype``.
+def _numbers(data: bytes, buf: np.ndarray, field: tuple, convert, dtype) -> tuple:
+    """``convert`` of the text of each field, as ``dtype``, and which fields it refused.
 
     A field of 1 to ``_DIGITS`` ASCII digits is read in place, which gives
-    the value ``int`` and ``float`` give; ``convert`` reads every other one.
+    the value ``int`` and ``float`` give; ``convert`` reads every other one,
+    and the field is refused where it raises ``ValueError``.
     """
     lo, hi = field
     size = hi - lo
@@ -267,13 +261,16 @@ def _numbers(data: bytes, buf: np.ndarray, field: tuple, convert, dtype) -> np.n
         digit = buf[np.maximum(at, 0)] - ord("0")  # wraps below "0"
         plain &= (digit <= 9) | ~inside
         values = values * 10 + digit * inside
-    values = values.astype(dtype)
-    other = np.flatnonzero(~plain)
-    values[other] = np.fromiter(
-        (convert(data[a:b].decode("utf-8")) for a, b in zip(lo[other].tolist(),
-                                                            hi[other].tolist())),
-        dtype, len(other))
-    return values
+    values, refused = values.astype(dtype), np.zeros(len(lo), dtype=bool)
+    other, read = np.flatnonzero(~plain), []
+    for row, a, b in zip(other.tolist(), lo[other].tolist(), hi[other].tolist()):
+        try:
+            read.append(convert(data[a:b].decode("utf-8")))
+        except ValueError:
+            read.append(0)
+            refused[row] = True
+    values[other] = read
+    return values, refused
 
 
 def _ids(data: bytes, buf: np.ndarray, field: tuple) -> tuple:
@@ -310,31 +307,31 @@ def _ids(data: bytes, buf: np.ndarray, field: tuple) -> tuple:
     return rank[inverse], joined.tobytes().decode("utf-8").split("\n")[:-1]
 
 
-def _raise_first_bad_line(lines: list, sep: str, path: str) -> None:
-    """Raise the error of the first line that ``parse_ratings`` rejects, if any."""
-    lo, hi = RATING_SCALE
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        parts = line.split(sep)
-        if len(parts) not in (3, 4):
-            raise ParseError(f"expected 3 or 4 fields separated by {sep!r}, got {len(parts)}",
-                             line_no, path)
-        for kind, name in (("user", parts[0]), ("item", parts[1])):
-            if "\t" in name:
-                raise ParseError(f"{kind} id {name!r} holds a tab, which a fold manifest "
-                                 "cannot hold", line_no, path)
-        try:
-            rating = float(parts[2])
-        except ValueError:
-            raise ParseError(f"bad rating field {parts[2]!r}", line_no, path) from None
-        try:
-            if len(parts) == 4:
-                _timestamp(parts[3])
-        except ValueError:
-            raise ParseError(f"bad timestamp field {parts[3]!r}", line_no, path) from None
-        if not (lo <= rating <= hi):
-            raise ValidationError(f"rating {rating} outside scale [{lo}, {hi}]", line_no, path)
+def _text(data: bytes, field: tuple, row: int) -> str:
+    return data[field[0][row]:field[1][row]].decode("utf-8")
+
+
+def _error(convert, text: str):
+    """The ``ValueError`` that ``convert(text)`` raises, else None."""
+    try:
+        convert(text)
+    except ValueError as exc:
+        return exc
+
+
+def _refuse(path: str, rows: np.ndarray, rules: list) -> None:
+    """Raise the error of the first line that a rule refuses, if any.
+
+    ``rules`` holds (refused, error class, message) triples in the order
+    the rules apply to a line: ``refused`` marks each line of ``rows`` that
+    the rule refuses, and ``message(i)`` is the error's text for line
+    ``rows[i]``, which the first rule refusing the line raises.
+    """
+    refused = np.flatnonzero(np.logical_or.reduce([rule[0] for rule in rules]))
+    if len(refused):
+        at = refused[0]
+        _, error, message = next(rule for rule in rules if rule[0][at])
+        raise error(message(at), int(rows[at]) + 1, path)
 
 
 def parse_ratings(path, format: str = "tsv") -> Ratings:
@@ -350,23 +347,29 @@ def parse_ratings(path, format: str = "tsv") -> Ratings:
     sep = _SEPARATORS[format]
     path = os.fspath(path)
     data, buf, ends = _read(path)
+    rows = np.flatnonzero(~_skipped(data, buf, ends))
+    width, (user, item, score, stamp) = _fields(buf, ends, sep.encode(), rows, 4)
+    rating, bad_rating = _numbers(data, buf, score, float, np.float64)
+    timestamp = np.zeros(len(rows), dtype=np.int64)  # 0 where a line has no timestamp
+    bad_stamp = np.zeros(len(rows), dtype=bool)
+    four = np.flatnonzero(width == 4)
+    timestamp[four], bad_stamp[four] = _numbers(data, buf, (stamp[0][four], stamp[1][four]),
+                                                _timestamp, np.int64)
+    (users, user_ids), (items, item_ids) = _ids(data, buf, user), _ids(data, buf, item)
     lo, hi = RATING_SCALE
-    try:
-        width, (user, item, rating, stamp) = _fields(
-            buf, ends, sep.encode(), np.flatnonzero(~_skipped(data, buf, ends)), (3, 4))
-        rating = _numbers(data, buf, rating, float, np.float64)
-        timestamp = np.zeros(len(width), dtype=np.int64)  # 0 where a line has no timestamp
-        four = np.flatnonzero(width == 4)
-        timestamp[four] = _numbers(data, buf, (stamp[0][four], stamp[1][four]),
-                                   _timestamp, np.int64)
-        if not ((rating >= lo) & (rating <= hi)).all():
-            raise ValueError("rating scale")
-        (users, user_ids), (items, item_ids) = _ids(data, buf, user), _ids(data, buf, item)
-        if any("\t" in name for name in user_ids + item_ids):
-            raise ValueError("tab in an id")
-    except ValueError:
-        _raise_first_bad_line(_lines(data), sep, path)
-        raise
+    _refuse(path, rows, [
+        ((width < 3) | (width > 4), ParseError,
+         lambda i: f"expected 3 or 4 fields separated by {sep!r}, got {width[i]}"),
+        (np.array(["\t" in name for name in user_ids], dtype=bool)[users], ParseError,
+         lambda i: f"user id {_text(data, user, i)!r} holds a tab, which a fold manifest "
+                   "cannot hold"),
+        (np.array(["\t" in name for name in item_ids], dtype=bool)[items], ParseError,
+         lambda i: f"item id {_text(data, item, i)!r} holds a tab, which a fold manifest "
+                   "cannot hold"),
+        (bad_rating, ParseError, lambda i: f"bad rating field {_text(data, score, i)!r}"),
+        (bad_stamp, ParseError, lambda i: f"bad timestamp field {_text(data, stamp, i)!r}"),
+        (~((rating >= lo) & (rating <= hi)), ValidationError,
+         lambda i: f"rating {float(rating[i])} outside scale [{lo}, {hi}]")])
     return Ratings(user_ids, item_ids, users, items, rating, timestamp)
 
 
@@ -477,30 +480,6 @@ def write_fold_manifests(folds, directory, descriptor: DatasetDescriptor,
     return paths
 
 
-def _raise_first_bad_manifest_line(lines: list, path: str, fold_index: int,
-                                   descriptor: DatasetDescriptor) -> None:
-    lo, hi = RATING_SCALE
-    for line_no, line in enumerate(lines, start=1):
-        parts = line.split("\t")
-        if len(parts) != 5:
-            raise ParseError("expected 5 manifest fields", line_no, path)
-        try:
-            float(parts[3]), _timestamp(parts[4])
-        except ValueError as exc:
-            raise ParseError(f"bad rating or timestamp ({exc})", line_no, path) from None
-        if parts[0] != str(fold_index):
-            raise ParseError(f"fold column {parts[0]!r} in the manifest of fold {fold_index}",
-                             line_no, path)
-        for kind, name, index in (("user", parts[1], descriptor.user_index),
-                                  ("item", parts[2], descriptor.item_index)):
-            if name not in index:
-                raise ParseError(f"{kind} {name!r} is not in {NODE_INDEX}; split it again",
-                                 line_no, path)
-        if not (lo <= float(parts[3]) <= hi):
-            raise ValidationError(f"rating {float(parts[3])} outside scale [{lo}, {hi}]",
-                                  line_no, path)
-
-
 def read_fold_manifests(directory, k: int, min_interactions: int) -> tuple:
     """The folds and the descriptor of the split that write_fold_manifests wrote.
 
@@ -541,28 +520,33 @@ def read_fold_manifests(directory, k: int, min_interactions: int) -> tuple:
     for fold_index in range(k):
         path = os.path.join(directory, f"fold{fold_index}.tsv")
         data, buf, ends = _read(path)
-        try:
-            _, (fold, user, item, rating, stamp) = _fields(buf, ends, b"\t", slice(None), (5,))
-            rating = _numbers(data, buf, rating, float, np.float64)
-            timestamp = _numbers(data, buf, stamp, _timestamp, np.int64)
-            tag = str(fold_index).encode()
-            same = fold[1] - fold[0] == len(tag)
-            for at, byte in enumerate(tag):
-                same &= buf[np.minimum(fold[0] + at, len(buf) - 1)] == byte
-            if not same.all():
-                raise ValueError("fold column")
-            user, item = (np.fromiter(map(lookup.get, texts, repeat(-1)), np.int64,
-                                      len(texts))[codes]
-                          for (codes, texts), lookup in ((_ids(data, buf, user), user_index),
-                                                         (_ids(data, buf, item), item_index)))
-            if min(user.min(initial=0), item.min(initial=0)) < 0:
-                raise ValueError("unknown id")
-            if not ((rating >= lo) & (rating <= hi)).all():
-                raise ValueError("rating scale")
-        except ValueError:
-            _raise_first_bad_manifest_line(_lines(data), path, fold_index, descriptor)
-            raise
-        columns.append((user, item, rating, timestamp))
+        rows = np.arange(len(ends))
+        width, (fold, user, item, score, stamp) = _fields(buf, ends, b"\t", rows, 5)
+        rating, bad_rating = _numbers(data, buf, score, float, np.float64)
+        timestamp, bad_stamp = _numbers(data, buf, stamp, _timestamp, np.int64)
+        tag = str(fold_index).encode()
+        same = fold[1] - fold[0] == len(tag)
+        for at, byte in enumerate(tag):
+            same &= buf[np.minimum(fold[0] + at, len(buf) - 1)] == byte
+        users, items = (np.fromiter(map(lookup.get, texts, repeat(-1)), np.int64,
+                                    len(texts))[codes]
+                        for (codes, texts), lookup in ((_ids(data, buf, user), user_index),
+                                                       (_ids(data, buf, item), item_index)))
+        _refuse(path, rows, [
+            (width != 5, ParseError, lambda i: "expected 5 manifest fields"),
+            (bad_rating | bad_stamp, ParseError,
+             lambda i: "bad rating or timestamp ({})".format(
+                 _error(float, _text(data, score, i))
+                 or _error(_timestamp, _text(data, stamp, i)))),
+            (~same, ParseError, lambda i: f"fold column {_text(data, fold, i)!r} in the "
+                                          f"manifest of fold {fold_index}"),
+            (users < 0, ParseError, lambda i: f"user {_text(data, user, i)!r} is not in "
+                                              f"{NODE_INDEX}; split it again"),
+            (items < 0, ParseError, lambda i: f"item {_text(data, item, i)!r} is not in "
+                                              f"{NODE_INDEX}; split it again"),
+            (~((rating >= lo) & (rating <= hi)), ValidationError,
+             lambda i: f"rating {float(rating[i])} outside scale [{lo}, {hi}]")])
+        columns.append((users, items, rating, timestamp))
         sizes.append(len(ends))
     ratings = Ratings(index["users"], index["items"], *map(np.concatenate, zip(*columns)))
     try:

@@ -717,6 +717,17 @@ def test_evaluate_rejects_non_finite_embeddings(dataset_path, tmp_path, capsys):
     assert not os.path.exists(os.path.join(run_path, "reports", "metrics.csv"))
 
 
+def test_evaluate_accepts_float32_embeddings(dataset_path, tmp_path, capsys):
+    out = str(tmp_path / "runs")
+    assert main(["split"] + base_args(dataset_path, out)) == EXIT_OK
+    assert main(train_args(dataset_path, out, epochs=1)) == EXIT_OK
+    run_path = os.path.join(out, next(p for p in os.listdir(out) if "mlp-gn" in p))
+    emb_path = os.path.join(run_path, "embeddings.npy")
+    np.save(emb_path, np.load(emb_path).astype(np.float32))
+    assert main(["evaluate"] + base_args(dataset_path, out) + ["--run", run_path]) == EXIT_OK
+    assert os.path.exists(os.path.join(run_path, "reports", "metrics.csv"))
+
+
 @pytest.mark.parametrize("fold", [7, None, -1, "0"],
                          ids=["past-last", "missing", "negative", "string"])
 def test_evaluate_rejects_run_config_fold(dataset_path, tmp_path, capsys, fold):
@@ -758,6 +769,12 @@ def _one_dimensional(path):
     np.save(path, np.load(path)[:, 0])
 
 
+def _as_dtype(dtype):
+    def damage(path):
+        np.save(path, np.load(path).astype(dtype))
+    return damage
+
+
 @pytest.mark.parametrize("name, damage, says", [
     ("embeddings.npy", _empty, "not an embeddings array"),
     ("embeddings.npy", _truncated, "not an embeddings array"),
@@ -765,8 +782,12 @@ def _one_dimensional(path):
     ("embeddings.npy", os.remove, "training did not finish"),
     ("embeddings.npy", _one_dimensional, "a (48,) array"),
     ("config", lambda path: open(path, "w").write("[]"), "not a run config"),
+    ("embeddings.npy", _as_dtype(np.int64), "int64 values"),
+    ("embeddings.npy", _as_dtype(bool), "bool values"),
+    ("embeddings.npy", _as_dtype(np.complex128), "complex128 values"),
 ], ids=["empty-embeddings", "truncated-embeddings", "bad-json-config", "missing-embeddings",
-        "1d-embeddings", "config-not-an-object"])
+        "1d-embeddings", "config-not-an-object", "int-embeddings", "bool-embeddings",
+        "complex-embeddings"])
 def test_evaluate_bad_run_file_is_data_error_naming_it(dataset_path, tmp_path, capsys,
                                                        name, damage, says):
     out = str(tmp_path / "runs")

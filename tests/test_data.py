@@ -307,8 +307,10 @@ def test_columns_match_the_record_path(file, threshold, k, seed):
     b"1\t2\tx\t0\n1\t2\n",                        # the first of two bad lines
     b"1\t2\t5\t0\n3\t4\tx\n",                      # bad rating, 3 fields after 4
     b"1\t2\t5\n3\t4\t1\n5\t6\t4\tt\n",             # bad timestamp, 4 fields after 3
+    b"1\n",                                       # no separator anywhere
+    b"1\t2\t9\n1\t2\n",                           # off the scale before a field count
 ], ids=["fields", "rating", "timestamp", "scale", "nan", "first-bad-line", "mixed-rating",
-        "mixed-timestamp"])
+        "mixed-timestamp", "no-separator", "scale-before-fields"])
 def test_parse_errors_match_the_record_path(tmp_path, text):
     path = tmp_path / "bad.tsv"
     path.write_bytes(text)
@@ -350,14 +352,27 @@ def _node_index(directory, users, items):
 
 
 @pytest.mark.parametrize("line", ["0\tu\ti\t5", "0\tu\ti\tx\t1", "0\tu\ti\t5\tt",
-                                  "1\tu\ti\tnan\t1", "1\tu\ti\t9\t1"],
-                         ids=["fields", "rating", "timestamp", "nan", "scale"])
+                                  "1\tu\ti\tnan\t1", "1\tu\ti\t9\t1",
+                                  "1\tu\ti\t9\t1\n2\tu\ti\t5\t1"],
+                         ids=["fields", "rating", "timestamp", "nan", "scale",
+                              "scale-before-fold"])
 def test_manifest_errors_match_the_record_path(tmp_path, line):
     _node_index(tmp_path, ["u", "v"], ["i", "j"])
     (tmp_path / "fold0.tsv").write_text("0\tu\tj\t4\t1\n")
     (tmp_path / "fold1.tsv").write_text(f"1\tv\ti\t4\t1\n{line}\n")
     new = _outcome(read_fold_manifests, tmp_path, 2, 0)
     assert new[0] == "raised" and new[3] == 2
+    assert new == _outcome(helpers.reference_read_fold_manifests, tmp_path, 2)
+
+
+def test_manifest_line_without_a_tab_matches_the_record_path(tmp_path):
+    # the only line of fold 0 holds no separator at all
+    _node_index(tmp_path, ["u"], ["i"])
+    (tmp_path / "fold0.tsv").write_text("u")
+    (tmp_path / "fold1.tsv").write_text("1\tu\ti\t4\t1\n")
+    new = _outcome(read_fold_manifests, tmp_path, 2, 0)
+    assert new == ("raised", ParseError,
+                   f"{tmp_path / 'fold0.tsv'}: line 1: expected 5 manifest fields", 1)
     assert new == _outcome(helpers.reference_read_fold_manifests, tmp_path, 2)
 
 
